@@ -13,8 +13,10 @@ tests that a bicombing is affine on a ball whose double sits inside the
 domain, and ``delta_thresholds`` evaluates the five polynomial bounds that
 close the convexity case analysis of the bulged bicombing.
 
-Aggregation is a max-reduction over samples, so reports are pure functions of
-(bicombing, config) and identical inputs reproduce identical reports.
+Aggregation is a max-reduction over samples in which a non-finite violation
+(an evaluation that broke down) outranks every finite one, so reports are
+pure functions of (bicombing, config) and identical inputs reproduce
+identical reports.
 """
 
 from __future__ import annotations
@@ -86,21 +88,16 @@ class PropertyReport:
 
 
 def _ser_point(p):
-    if isinstance(p, funcspace.MonotoneFn):
-        return {"breakpoints": [[float(x), float(v)] for x, v in zip(p.xs, p.vs)]}
-    return [float(v) for v in np.asarray(p).ravel()]
-
-
-def _is_planar(point):
-    return isinstance(point, np.ndarray) and point.dtype != object
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 2:
+        # one packed row of a function-space batch
+        f = funcspace.unpack(p)
+        return {"breakpoints": np.column_stack([f.xs, f.vs]).tolist()}
+    return p.ravel().tolist()
 
 
 def _single(point):
-    if _is_planar(point):
-        return np.asarray(point, dtype=float)[None, :]
-    arr = np.empty(1, dtype=object)
-    arr[0] = point
-    return arr
+    return np.asarray(point, dtype=float)[None]
 
 
 def _eval1(b, p, q, t):
@@ -113,6 +110,23 @@ def _dist1(b, p, q):
 
 def _grid(cfg):
     return np.linspace(0.0, 1.0, cfg.t_grid)
+
+
+def _argworst(v):
+    """Row of the largest violation; a non-finite entry (the evaluation broke
+    down there) outranks every finite one."""
+    finite = np.isfinite(v)
+    return int(np.argmax(v)) if finite.all() else int(np.argmin(finite))
+
+
+def _outranks(v, worst):
+    """Whether violation ``v`` replaces ``worst`` (``None`` before the first)
+    as a scan's worst: non-finite beats finite, the first non-finite stays."""
+    if worst is None:
+        return True
+    if not math.isfinite(worst):
+        return False
+    return not math.isfinite(v) or v > worst
 
 
 def _refine_params(viol, params, bounds, tol):
@@ -185,7 +199,7 @@ def _finish(prop, cfg, bicombing, worst, samples, pts, names, params, param_name
                               cfg.seed, cfg.tol, bicombing)
     params = [float(v) for v in params]
     at = worst
-    if viol_full is not None:
+    if viol_full is not None and math.isfinite(worst):
         viol = _guard(viol_full)
         if params:
             bounds = [(0.0, 1.0)] * len(params)
@@ -193,7 +207,9 @@ def _finish(prop, cfg, bicombing, worst, samples, pts, names, params, param_name
                                             params, bounds, cfg.tol)
             params = list(tuned)
             worst = max(worst, refined)
-        if pts and _is_planar(pts[0]):
+        # shrinking moves points toward their centroid, which only vector
+        # points support; packed function rows are replayed as they are
+        if pts and np.ndim(pts[0]) == 1:
             pts, at = _shrink_points(lambda cand: viol(cand, params), pts,
                                      worst, cfg.tol)
         else:
@@ -214,12 +230,12 @@ def check_geodesic(b, cfg):
     d = np.atleast_1d(np.asarray(b.dist(P, Q), dtype=float))
     evals = [b.eval(P, Q, float(t)) for t in grid]
 
-    worst, k_at, s_at, t_at = -1.0, 0, 0.0, 1.0
+    worst, k_at, s_at, t_at = None, 0, 0.0, 1.0
 
     def note(v, s, t):
         nonlocal worst, k_at, s_at, t_at
-        k = int(np.argmax(v))
-        if v[k] > worst:
+        k = _argworst(v)
+        if _outranks(float(v[k]), worst):
             worst, k_at, s_at, t_at = float(v[k]), k, float(s), float(t)
 
     note(np.atleast_1d(b.dist(evals[0], P)), 0.0, 0.0)
@@ -258,12 +274,12 @@ def check_conical(b, cfg):
     dp = np.atleast_1d(np.asarray(b.dist(P, P2), dtype=float))
     dq = np.atleast_1d(np.asarray(b.dist(Q, Q2), dtype=float))
 
-    worst, k_at, t_at = -1.0, 0, 0.5
+    worst, k_at, t_at = None, 0, 0.5
     for t in grid:
         lhs = np.atleast_1d(b.dist(b.eval(P, Q, float(t)), b.eval(P2, Q2, float(t))))
         v = lhs - ((1.0 - t) * dp + t * dq)
-        k = int(np.argmax(v))
-        if v[k] > worst:
+        k = _argworst(v)
+        if _outranks(float(v[k]), worst):
             worst, k_at, t_at = float(v[k]), k, float(t)
     samples = cfg.tuples * len(grid)
 
@@ -303,11 +319,11 @@ def check_convex(b, cfg, tau_steps=(1.0 / 64.0, 1.0 / 128.0)):
     for t in sorted(needed):
         fvals[t] = np.atleast_1d(b.dist(b.eval(P, Q, t), b.eval(P2, Q2, t)))
 
-    worst, k_at, t_at, tau_at = -1.0, 0, 0.5, tau_steps[0]
+    worst, k_at, t_at, tau_at = None, 0, 0.5, tau_steps[0]
     for t, tau in triples:
         v = 2.0 * fvals[t] - fvals[t - tau] - fvals[t + tau]
-        k = int(np.argmax(v))
-        if v[k] > worst:
+        k = _argworst(v)
+        if _outranks(float(v[k]), worst):
             worst, k_at, t_at, tau_at = float(v[k]), k, t, tau
     samples = cfg.tuples * len(triples)
 
@@ -343,7 +359,7 @@ def check_consistent(b, cfg):
     lhs = b.eval(A, B, u)
     rhs = b.eval(P, Q, (1.0 - u) * s1 + u * s2)
     v = np.atleast_1d(np.asarray(b.dist(lhs, rhs), dtype=float))
-    k = int(np.argmax(v))
+    k = _argworst(v)
     worst = float(v[k])
     samples = cfg.tuples
 
@@ -366,10 +382,13 @@ def check_consistent(b, cfg):
 
 
 def consistency_defect(b, p, q, s1, s2, u):
-    """Reparametrization defect of one tuple, as a plain number."""
-    if not isinstance(p, funcspace.MonotoneFn):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
+    """Reparametrization defect of one tuple, as a plain number.
+
+    Points are what the bicombing's batches hold per row: ``(2,)`` planar
+    points, or packed ``(2, K)`` rows for a function-space bicombing.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
     ga = _eval1(b, p, q, s1)
     gb = _eval1(b, p, q, s2)
     sub = _eval1(b, ga, gb, u)
@@ -384,11 +403,11 @@ def check_reversible(b, cfg):
     Q = b.sample(rng, cfg.tuples)
     grid = _grid(cfg)
 
-    worst, k_at, t_at = -1.0, 0, 0.5
+    worst, k_at, t_at = None, 0, 0.5
     for t in grid:
         v = np.atleast_1d(b.dist(b.eval(P, Q, float(t)), b.eval(Q, P, float(1.0 - t))))
-        k = int(np.argmax(v))
-        if v[k] > worst:
+        k = _argworst(v)
+        if _outranks(float(v[k]), worst):
             worst, k_at, t_at = float(v[k]), k, float(t)
     samples = cfg.tuples * len(grid)
 
@@ -409,7 +428,7 @@ def check_midpoint_property(b, cfg):
     P = b.sample(rng, cfg.tuples)
     Q = b.sample(rng, cfg.tuples)
     v = np.atleast_1d(b.dist(b.eval(P, Q, 0.5), b.eval(Q, P, 0.5)))
-    k = int(np.argmax(v))
+    k = _argworst(v)
     worst = float(v[k])
     pts = [P[k], Q[k]]
 
@@ -447,11 +466,11 @@ def check_local_linearity(b, center, r, cfg):
     Q = spaces.sample_region_rng(ballreg, rng, cfg.tuples)
     grid = _grid(cfg)
 
-    worst, k_at, t_at = -1.0, 0, 0.5
+    worst, k_at, t_at = None, 0, 0.5
     for t in grid:
         v = np.atleast_1d(b.dist(b.eval(P, Q, float(t)), linear(P, Q, float(t))))
-        k = int(np.argmax(v))
-        if v[k] > worst:
+        k = _argworst(v)
+        if _outranks(float(v[k]), worst):
             worst, k_at, t_at = float(v[k]), k, float(t)
     samples = cfg.tuples * len(grid)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,3 +146,114 @@ def test_serialization_round_trip():
     text = fs.to_text(fs.identity_fn())
     assert text.splitlines()[0] == "0.0 0.0"
     assert text.splitlines()[-1] == "1.0 1.0"
+
+
+def _coarse_fn(rng):
+    # breakpoints on the 1/8 grid, so that pairs share many of them
+    grid = np.arange(1, 8) / 8.0
+    k = int(rng.integers(0, 7))
+    xs = np.sort(rng.choice(grid, k, replace=False))
+    vs = np.sort(rng.choice(grid, k, replace=False))
+    return fs.MonotoneFn(np.r_[0.0, xs, 1.0], np.r_[0.0, vs, 1.0])
+
+
+def _same(f, g):
+    return np.array_equal(f.xs, g.xs) and np.array_equal(f.vs, g.vs)
+
+
+@pytest.mark.parametrize("block_rows", [7, None])
+def test_batch_kernels_match_the_per_function_reference(block_rows, monkeypatch):
+    if block_rows is not None:
+        # many blocks of different padded widths, stitched back together
+        monkeypatch.setattr(fs, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(3)
+    fns = ([fs.random_monotone_fn(rng) for _ in range(150)]
+           + [_coarse_fn(rng) for _ in range(150)] + [fs.identity_fn(), fs.sqrt_approx(16)])
+    gns = ([fs.random_monotone_fn(rng) for _ in range(150)]
+           + [_coarse_fn(rng) for _ in range(150)] + [fs.identity_fn(), fs.sqrt_approx(16)])
+    gns[::9] = fns[::9]  # identical pairs share every breakpoint
+    F, G = fs.pack(fns), fs.pack(gns)
+    t = rng.random(len(fns))
+    t[::5] = 0.0
+    t[1::5] = 1.0
+    t[2::5] = 0.5
+    assert np.array_equal(fs.l1_distance_batch(F, G),
+                          [fs.l1_distance(f, g) for f, g in zip(fns, gns)])
+    for kernel, reference in ((fs.vertical_batch, fs.vertical_bicombing),
+                              (fs.horizontal_batch, fs.horizontal_bicombing)):
+        out = kernel(F, G, t)
+        refs = [reference(f, g, float(ti)) for f, g, ti in zip(fns, gns, t)]
+        assert all(_same(fs.unpack(row), r) for row, r in zip(out, refs)), kernel.__name__
+        assert np.array_equal(fs.l1_distance_batch(out, G),
+                              [fs.l1_distance(r, g) for r, g in zip(refs, gns)])
+        # a scalar parameter broadcasts over the rows
+        half = kernel(F, G, 0.5)
+        assert all(_same(fs.unpack(row), reference(f, g, 0.5))
+                   for row, f, g in zip(half, fns, gns))
+
+
+def test_batch_combine_rejects_what_the_reference_rejects():
+    # breakpoints one ulp apart: for some t the combined values tie, which
+    # the MonotoneFn constructor refuses
+    x = 0.5
+    y = float(np.nextafter(x, 1.0))
+    f = fs.MonotoneFn([0.0, x, 1.0], [0.0, x, 1.0])
+    g = fs.MonotoneFn([0.0, y, 1.0], [0.0, y, 1.0])
+    F, G = fs.pack([fs.identity_fn(), f]), fs.pack([fs.identity_fn(), g])
+    for kernel, reference in ((fs.vertical_batch, fs.vertical_bicombing),
+                              (fs.horizontal_batch, fs.horizontal_bicombing)):
+        rejected = 0
+        for t in np.linspace(0.01, 0.99, 99):
+            try:
+                reference(f, g, float(t))
+            except ValueError:
+                rejected += 1
+                with pytest.raises(ValueError):
+                    kernel(F, G, float(t))
+            else:
+                kernel(F, G, float(t))
+        assert 0 < rejected < 99, kernel.__name__
+
+
+def test_batch_sampler_replays_the_per_function_stream():
+    a = np.random.default_rng(5)
+    b = np.random.default_rng(5)
+    F = fs.random_monotone_batch(a, 400)
+    assert all(_same(fs.unpack(row), fs.random_monotone_fn(b)) for row in F)
+    assert a.random() == b.random()
+    # rows are padded by repeating the (1, 1) endpoint up to the longest row
+    assert F.shape[2] == max(len(fs.unpack(row).xs) for row in F)
+    assert np.all(F[:, :, -1] == 1.0)
+
+
+def test_pack_round_trip_and_unpack_validates():
+    fns = [fs.identity_fn(), fs.sqrt_approx(8)]
+    F = fs.pack(fns)
+    assert F.shape == (2, 2, 9)
+    assert all(_same(fs.unpack(row), f) for row, f in zip(F, fns))
+    with pytest.raises(ValueError):
+        fs.unpack(np.array([[0.0, 0.5, 1.0], [0.0, 0.7, 0.6]]))
+
+
+def test_consistent_check_reports_are_pinned():
+    # worst_violation here is pure rounding residue, so these values pin the
+    # exact float arithmetic of the batch kernels
+    cfg = SampleConfig(seed=101, tuples=5000, t_grid=33, tol=1e-9)
+    rep_v = check_consistent(fs.vertical_fn_bicombing(), cfg)
+    rep_h = check_consistent(fs.horizontal_fn_bicombing(), cfg)
+    assert rep_v.worst_violation == 1.575569023759817e-16
+    assert rep_h.worst_violation == 1.2761210384355255e-16
+
+
+def test_failing_function_space_check_reports_breakpoint_witnesses():
+    # a tolerance below the rounding residue makes the check fail, which
+    # drives witness refinement through one-row packed batches
+    cfg = SampleConfig(seed=3, tuples=60, t_grid=5, tol=1e-30)
+    rep = check_consistent(fs.horizontal_fn_bicombing(), cfg)
+    assert not rep.passed
+    assert rep.worst_violation == rep.witness["violation"] == 1.1484488159838638e-16
+    witness = json.loads(rep.to_json())["witness"]
+    for name in ("p", "q"):
+        pairs = witness[name]["breakpoints"]
+        assert pairs[0] == [0.0, 0.0] and pairs[-1] == [1.0, 1.0]
+        fs.from_breakpoints(pairs)  # a valid function, padding stripped

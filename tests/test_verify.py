@@ -10,8 +10,8 @@ from bicombing_lab.bicombings import (Bicombing, linear_bicombing,
                                       tau_X1_bicombing)
 from bicombing_lab.funcspace import vertical_fn_bicombing
 from bicombing_lab.spaces import Region, dist
-from bicombing_lab.verify import (SampleConfig, check_conical, check_consistent,
-                                  check_convex, check_geodesic,
+from bicombing_lab.verify import (CHECKERS, SampleConfig, check_conical,
+                                  check_consistent, check_convex, check_geodesic,
                                   check_local_linearity, check_midpoint_property,
                                   check_reversible, consistency_defect,
                                   convexity_pair_gap_squared, convexity_pair_model,
@@ -38,6 +38,32 @@ def test_linear_passes_exactly():
     # leave a few ulps of positive part
     rep = check_conical(lb, CFG)
     assert rep.passed and rep.worst_violation <= 1e-13
+
+
+def _nan_every_7th_row():
+    base = linear_bicombing()
+
+    def broken(p, q, t):
+        out = np.array(base.eval(p, q, t), dtype=float)
+        out[::7] = np.nan
+        return out
+
+    return Bicombing("linear_nan7", base.space, base.domain, broken)
+
+
+def test_non_finite_violations_fail_with_a_witness():
+    # a NaN violation compares false against everything: unless the scan
+    # ranks it explicitly, the check passes on whatever value it started from
+    b = _nan_every_7th_row()
+    cfg = SampleConfig(seed=42, tuples=500, t_grid=9, tol=1e-9)
+    P = b.sample(np.random.default_rng(cfg.seed), cfg.tuples)
+    for prop, checker in CHECKERS.items():
+        rep = checker(b, cfg)
+        assert not rep.passed, prop
+        assert not math.isfinite(rep.worst_violation), prop
+        assert rep.witness is not None and not math.isfinite(rep.witness["violation"]), prop
+        row = np.flatnonzero((P == rep.witness["p"]).all(axis=1))
+        assert len(row) == 1 and row[0] % 7 == 0, prop
 
 
 def test_corrupted_bicombing_fails_geodesic_with_witness():
