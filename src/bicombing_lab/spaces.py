@@ -7,8 +7,12 @@ live: a thin parabolic blob flanked by two antenna segments (``X`` and its
 pieces), a diamond with a slanted antenna and its mirror image (``X1``,
 ``X2`` and the enlarged sets ``Y1``, ``Y2``), and norm balls.
 
-All functions are pure and accept either a single point of shape ``(2,)`` or
-a batch of shape ``(n, 2)``; they are safe to call concurrently.
+``face`` maps a direction to the minimal face of the unit sphere containing
+it, which is what decides the shape of metric in-between sets.
+
+All functions are pure and safe to call concurrently. Apart from ``face``,
+which takes one direction, they accept either a single point of shape
+``(2,)`` or a batch of shape ``(n, 2)``.
 """
 
 from __future__ import annotations
@@ -51,6 +55,39 @@ def norm(space, v):
 def dist(space, p, q):
     """Distance induced by :func:`norm` (norm of the difference)."""
     return norm(space, np.asarray(p, dtype=float) - np.asarray(q, dtype=float))
+
+
+def face(space, v):
+    """Ends ``(f_minus, f_plus)`` of the minimal face of the unit sphere that
+    contains ``v / norm(space, v)``.
+
+    The face is a point (``f_minus == f_plus == v / norm``) exactly when the
+    direction is extreme: always for the Euclidean norm, at the four corners
+    ``|v_x| == |v_y|`` of the max norm, and on the arcs and at the corners
+    ``|v_y| >= |v_x|`` of the hybrid norm. Otherwise it is a flat edge, given
+    with ``f_minus <= f_plus`` componentwise: ``x = +-1, |y| <= 1`` when
+    ``|v_x| > |v_y|`` (max and hybrid norms), ``y = +-1, |x| <= 1`` when
+    ``|v_y| > |v_x|`` (max norm).
+    """
+    v = np.asarray(v, dtype=float)
+    if v.shape != (2,) or not np.isfinite(v).all():
+        raise ValueError("a direction must be one finite point of shape (2,)")
+    n = float(norm(space, v))
+    if n == 0.0:
+        raise ValueError("the zero vector has no direction")
+    ax, ay = abs(v[0]), abs(v[1])
+    if space == "linf" and ay > ax:
+        axis = 1
+    elif space in ("linf", "hybrid") and ax > ay:
+        axis = 0
+    else:
+        u = v / n
+        return u, u.copy()
+    f_minus = np.full(2, -1.0)
+    f_minus[axis] = np.copysign(1.0, v[axis])
+    f_plus = f_minus.copy()
+    f_plus[1 - axis] = 1.0
+    return f_minus, f_plus
 
 
 @dataclass(frozen=True)

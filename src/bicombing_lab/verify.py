@@ -6,12 +6,12 @@ the property's defining inequality. Failures come back as reports carrying a
 counterexample witness, never as exceptions; checks are falsification at a
 fixed tolerance, not proof.
 
-The module also hosts the rigidity probes: ``mt_set`` enumerates the metric
-in-between set of a point pair on a grid (singleton versus segment is what
-distinguishes extreme directions of the unit ball), ``check_local_linearity``
-tests that a bicombing is affine on a ball whose double sits inside the
-domain, and ``delta_thresholds`` evaluates the five polynomial bounds that
-close the convexity case analysis of the bulged bicombing.
+The module also hosts the rigidity probes: ``mt_set`` computes the metric
+in-between set of a point pair in closed form from the face of the unit
+sphere its direction lies in (a point for an extreme direction, a segment
+for a flat face), ``check_local_linearity`` tests that a bicombing is affine
+on a ball whose double sits inside the domain, and ``delta_thresholds``
+evaluates the five polynomial bounds that close the convexity case analysis.
 
 Aggregation is a max-reduction over samples in which a non-finite violation
 (an evaluation that broke down) outranks every finite one, so reports are
@@ -491,147 +491,39 @@ def check_local_linearity(b, center, r, cfg):
 
 @dataclass(frozen=True)
 class MtCluster:
-    """One connected component of the sampled metric in-between set."""
+    """The sampled metric in-between set: points along it, the one of least
+    residual and that residual."""
 
     points: np.ndarray
     representative: np.ndarray
     residual: float
 
 
-def _mt_residual(space, p, q, r1, r2, Z):
-    return np.maximum(np.abs(np.atleast_1d(spaces.dist(space, Z, p)) - r1),
-                      np.abs(np.atleast_1d(spaces.dist(space, Z, q)) - r2))
-
-
-_DIRS = np.array([(1, 0), (-1, 0), (0, 1), (0, -1),
-                  (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
-
-
-def _pattern_descend(space, p, q, r1, r2, Z, g, step0, floor):
-    # deterministic 8-direction descent on the max residual with halving steps
-    step = np.broadcast_to(np.asarray(step0, dtype=float), (len(Z),)).copy()
-    for _ in range(400):
-        if not (step > floor).any():
-            break
-        moved = np.zeros(len(Z), dtype=bool)
-        for d in _DIRS:
-            cand = Z + step[:, None] * d
-            gc = _mt_residual(space, p, q, r1, r2, cand)
-            better = gc < g
-            if better.any():
-                Z[better] = cand[better]
-                g[better] = gc[better]
-                moved |= better
-        step[~moved] *= 0.5
-    return Z, g
-
-
-def _valley_direction(space, p, q, r1, r2, Z, eps=1e-6):
-    # least-sensitive direction of the signed residual pair, from a centered
-    # finite-difference Jacobian; where the two spheres meet tangentially this
-    # is the tangent the axis-aligned descent cannot follow
-    J = np.empty((len(Z), 2, 2))
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = eps
-        f1p = np.atleast_1d(spaces.dist(space, Z + e, p))
-        f1m = np.atleast_1d(spaces.dist(space, Z - e, p))
-        f2p = np.atleast_1d(spaces.dist(space, Z + e, q))
-        f2m = np.atleast_1d(spaces.dist(space, Z - e, q))
-        J[:, 0, j] = (f1p - f1m) / (2.0 * eps)
-        J[:, 1, j] = (f2p - f2m) / (2.0 * eps)
-    # smallest eigenvector of the 2x2 Gram matrix, in closed form
-    a = J[:, 0, 0] ** 2 + J[:, 1, 0] ** 2
-    c = J[:, 0, 1] ** 2 + J[:, 1, 1] ** 2
-    bb = J[:, 0, 0] * J[:, 0, 1] + J[:, 1, 0] * J[:, 1, 1]
-    lam = 0.5 * (a + c) - np.sqrt(0.25 * (a - c) ** 2 + bb * bb)
-    v = np.stack([bb, lam - a], axis=-1)
-    alt = np.stack([lam - c, bb], axis=-1)
-    use_alt = np.linalg.norm(alt, axis=1) > np.linalg.norm(v, axis=1)
-    v[use_alt] = alt[use_alt]
-    nrm = np.linalg.norm(v, axis=1)
-    fallback = nrm < 1e-30
-    v[fallback] = (1.0, 0.0)
-    nrm[fallback] = 1.0
-    return v / nrm[:, None]
-
-
-def _valley_bisection(space, p, q, r1, r2, Z, g, span):
-    # 1-d bisection of the residual along the valley direction; exact ties
-    # shrink symmetrically, so flat directions (genuine segments in the
-    # in-between set) do not drift
-    v = _valley_direction(space, p, q, r1, r2, Z)
-    lo = np.full(len(Z), -float(span))
-    hi = np.full(len(Z), float(span))
-    for _ in range(80):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        g1 = _mt_residual(space, p, q, r1, r2, Z + m1[:, None] * v)
-        g2 = _mt_residual(space, p, q, r1, r2, Z + m2[:, None] * v)
-        left = g1 < g2
-        hi[left] = m2[left]
-        right = g2 < g1
-        lo[right] = m1[right]
-        tie = ~(left | right)
-        lo[tie] = m1[tie]
-        hi[tie] = m2[tie]
-    s = 0.5 * (lo + hi)
-    cand = Z + s[:, None] * v
-    gc = _mt_residual(space, p, q, r1, r2, cand)
-    better = gc < g
-    Z[better] = cand[better]
-    g[better] = gc[better]
-    return Z, g
-
-
-def _refine_points(space, p, q, r1, r2, Z0, step0, span, floor):
-    Z = Z0.copy()
-    g = _mt_residual(space, p, q, r1, r2, Z)
-    Z, g = _pattern_descend(space, p, q, r1, r2, Z, g, step0, floor)
-    for _ in range(6):
-        Z, g = _valley_bisection(space, p, q, r1, r2, Z, g, span)
-        # fix the transversal error the tangential move introduced; the step
-        # starts at the residual scale so the walk can actually cover it
-        Z, g = _pattern_descend(space, p, q, r1, r2, Z, g,
-                                np.maximum(4.0 * g, 64.0 * floor), floor)
-    return Z, g
-
-
-def _merge_close_clusters(points, labels, n_clusters, threshold):
-    if n_clusters <= 1:
-        return labels
-    parent = list(range(n_clusters))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    groups = [points[labels == c] for c in range(n_clusters)]
-    for a in range(n_clusters):
-        for b in range(a + 1, n_clusters):
-            diff = groups[a][:, None, :] - groups[b][None, :, :]
-            gap = np.sqrt(np.min(np.sum(diff * diff, axis=-1)))
-            if gap <= threshold:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    return np.array([find(int(c)) for c in labels])
+def _mt_point(point, name):
+    point = np.asarray(point, dtype=float)
+    if point.shape != (2,) or not np.isfinite(point).all():
+        raise ValueError(f"{name} must be one finite point of shape (2,)")
+    return point
 
 
 def mt_set(space, p, q, t, resolution=501, tol=1e-6):
-    """Grid scan of the set of points at parameter-``t`` distances from both
-    ``p`` and ``q``, refined and clustered.
+    """Metric in-between set ``M_t(p, q)`` of the points at distance ``t d``
+    from ``p`` and ``(1 - t) d`` from ``q``, ``d = dist(p, q)``, in closed
+    form ``(p + t d F) & (q - (1 - t) d F)``, ``F = spaces.face(space, q - p)``:
+    a point for an extreme direction of the unit ball, a segment otherwise.
 
-    Returns a list of :class:`MtCluster`, one per connected component of the
-    selected grid cells (8-neighbor adjacency); each cluster carries all its
-    refined points and a residual-minimizing representative. A singleton
-    answer detects an extreme direction of the unit ball, a spread-out
-    cluster a flat spot.
+    Returns one :class:`MtCluster` in a list (the set is convex). Its points
+    run from end to end, both included, at most one cell apart of a
+    ``resolution``-point grid over the bounding box of the two balls.
+    ``tol`` is a postcondition: ``RuntimeError`` if a point's absolute
+    residual, computed with :func:`spaces.dist`, exceeds it. ``ValueError``
+    unless ``p``, ``q`` are finite ``(2,)`` points and ``0 <= t <= 1``.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p = _mt_point(p, "p")
+    q = _mt_point(q, "q")
+    t = float(t)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t!r}")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     if not tol > 0:
@@ -640,69 +532,36 @@ def mt_set(space, p, q, t, resolution=501, tol=1e-6):
     if d == 0.0:
         return [MtCluster(points=p[None, :].copy(), representative=p.copy(), residual=0.0)]
     r1, r2 = t * d, (1.0 - t) * d
-    ex = 1.0 / float(spaces.norm(space, (1.0, 0.0)))
-    ey = 1.0 / float(spaces.norm(space, (0.0, 1.0)))
-    lo = np.minimum(p - [r1 * ex, r1 * ey], q - [r2 * ex, r2 * ey])
-    hi = np.maximum(p + [r1 * ex, r1 * ey], q + [r2 * ex, r2 * ey])
-    gx = np.linspace(lo[0], hi[0], resolution)
-    gy = np.linspace(lo[1], hi[1], resolution)
-    h = max(gx[1] - gx[0], gy[1] - gy[0])
-    band = max(tol, 2.0 * h)
+    f_minus, f_plus = spaces.face(space, q - p)
+    a = np.maximum(p + r1 * f_minus, q - r2 * f_plus)
+    b = np.minimum(p + r1 * f_plus, q - r2 * f_minus)
 
-    sel_i = []
-    sel_j = []
-    chunk = max(1, 2_000_000 // resolution)
-    for i0 in range(0, resolution, chunk):
-        ys = gy[i0:i0 + chunk]
-        XX, YY = np.meshgrid(gx, ys, indexing="xy")
-        Z = np.stack([XX.ravel(), YY.ravel()], axis=-1)
-        res = _mt_residual(space, p, q, r1, r2, Z)
-        hits = np.flatnonzero(res <= band)
-        if hits.size:
-            sel_i.append(i0 + hits // resolution)
-            sel_j.append(hits % resolution)
-    if not sel_i:
-        return []
-    I = np.concatenate(sel_i)
-    J = np.concatenate(sel_j)
+    # half-widths of the unit ball along the axes give the balls' bounding box
+    ext = 1.0 / spaces.norm(space, np.eye(2))
+    box = np.maximum(p + r1 * ext, q + r2 * ext) - np.minimum(p - r1 * ext, q - r2 * ext)
+    cell = float(np.max(box)) / (resolution - 1)
+    s = np.linspace(0.0, 1.0, math.ceil(float(np.hypot(*(b - a))) / cell) + 1)
+    points = (1.0 - s)[:, None] * a + s[:, None] * b
 
-    index = {(int(i), int(j)): k for k, (i, j) in enumerate(zip(I, J))}
-    labels = np.full(len(I), -1, dtype=int)
-    n_clusters = 0
-    for start in range(len(I)):
-        if labels[start] != -1:
-            continue
-        stack = [start]
-        labels[start] = n_clusters
-        while stack:
-            k = stack.pop()
-            ci, cj = int(I[k]), int(J[k])
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    nb = index.get((ci + di, cj + dj))
-                    if nb is not None and labels[nb] == -1:
-                        labels[nb] = n_clusters
-                        stack.append(nb)
-        n_clusters += 1
+    resid = np.maximum(np.abs(spaces.dist(space, points, p) - r1),
+                       np.abs(spaces.dist(space, points, q) - r2))
+    if not (resid <= tol).all():
+        raise RuntimeError(f"in-between set of {p.tolist()}, {q.tolist()} at t={t!r}: "
+                           f"residual {float(np.max(resid))!r} exceeds tol {tol!r}")
+    k = int(np.argmin(resid))
+    return [MtCluster(points=points, representative=points[k].copy(),
+                      residual=float(resid[k]))]
 
-    pts0 = np.stack([gx[J], gy[I]], axis=-1)
-    span = 0.5 * float(max(hi[0] - lo[0], hi[1] - lo[1]))
-    refined, resid = _refine_points(space, p, q, r1, r2, pts0, h, span,
-                                    max(tol / 1000.0, 1e-12))
 
-    # grid connectivity can split one component where the selected strip gets
-    # thinner than a cell; merge clusters whose refined points reconnect
-    labels = _merge_close_clusters(refined, labels, n_clusters, 2.0 * h)
-
-    clusters = []
-    for c in sorted(set(int(v) for v in labels)):
-        member = labels == c
-        pts = refined[member]
-        rr = resid[member]
-        k = int(np.argmin(rr))
-        clusters.append(MtCluster(points=pts, representative=pts[k].copy(),
-                                  residual=float(rr[k])))
-    return clusters
+def _threshold_rows(d):
+    # plain arithmetic on d, so a symbolic d yields the same five expressions
+    return [
+        ("antenna_pair", (4.0 - 144.0 * d - 640.0 * d * d) / (1.0 - 4.0 * d)),
+        ("antenna_vs_ramp", 3.0 - 96.0 * d - 576.0 * d * d),
+        ("antenna_vs_interior_flat", 31.0 / 8.0 - 96.0 * d - 576.0 * d * d),
+        ("antenna_vs_interior_steep", 255.0 / 64.0 - 96.0 * d - 576.0 * d * d),
+        ("reversed_antenna_pair", 4.0 - 33.0 * d),
+    ]
 
 
 def delta_thresholds(delta):
@@ -713,15 +572,7 @@ def delta_thresholds(delta):
     """
     if not 0.0 <= delta < 0.25:
         raise ValueError("delta must lie in [0, 1/4)")
-    d = float(delta)
-    rows = [
-        ("antenna_pair", (4.0 - 144.0 * d - 640.0 * d * d) / (1.0 - 4.0 * d)),
-        ("antenna_vs_ramp", 3.0 - 96.0 * d - 576.0 * d * d),
-        ("antenna_vs_interior_flat", 31.0 / 8.0 - 96.0 * d - 576.0 * d * d),
-        ("antenna_vs_interior_steep", 255.0 / 64.0 - 96.0 * d - 576.0 * d * d),
-        ("reversed_antenna_pair", 4.0 - 33.0 * d),
-    ]
-    return [(label, value, value > 0.0) for label, value in rows]
+    return [(label, value, value > 0.0) for label, value in _threshold_rows(float(delta))]
 
 
 #: The axis pair used in the worked convexity computation: the full
@@ -751,9 +602,8 @@ def convexity_pair_gap_squared(delta, tau):
 def convexity_pair_model(delta, tau):
     """Closed form of :func:`convexity_pair_gap_squared`:
     ``4 d^2 + (1 - 72 d^2) tau^2 + 324 d^2 tau^4``, never below ``4 d^2``."""
-    d = float(delta)
-    return 4.0 * d * d + (1.0 - 72.0 * d * d) * tau * tau \
-        + 324.0 * d * d * tau ** 4
+    return 4.0 * delta * delta + (1.0 - 72.0 * delta * delta) * tau * tau \
+        + 324.0 * delta * delta * tau ** 4
 
 
 CHECKERS = {

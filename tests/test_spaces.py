@@ -147,3 +147,60 @@ def test_sample_degenerate_ball():
 def test_sample_count_validation():
     with pytest.raises(ValueError):
         sample_region(Region("X"), seed=0, count=0)
+
+
+def _face_directions():
+    rng = np.random.default_rng(3)
+    angles = rng.uniform(0.0, 2.0 * math.pi, 200)
+    special = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 1.0),
+               (-1.0, 1.0), (-1.0, -1.0), (3.0, -3.0), (2.0, 1.0), (-0.5, 2.0)]
+    return np.concatenate([np.stack([np.cos(angles), np.sin(angles)], axis=-1),
+                           3.0 * np.array(special)])
+
+
+def _is_extreme(space, u, eps=1e-3):
+    # u is extreme in the unit ball when no direction w keeps both u + eps w
+    # and u - eps w inside it
+    angles = np.linspace(0.0, math.pi, 180, endpoint=False)
+    W = eps * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    return bool(np.all(np.maximum(norm(space, u + W), norm(space, u - W)) > 1.0))
+
+
+@pytest.mark.parametrize("space", spaces.SPACES)
+def test_face_ends_contain_the_direction_and_are_the_minimal_face(space):
+    for v in _face_directions():
+        lo, hi = spaces.face(space, v)
+        u = v / norm(space, v)
+        assert norm(space, lo) == pytest.approx(1.0, abs=1e-15)
+        assert norm(space, hi) == pytest.approx(1.0, abs=1e-15)
+        # u lies on the segment [lo, hi]
+        ab = hi - lo
+        s = 0.0 if not ab.any() else float(np.clip((u - lo) @ ab / (ab @ ab), 0.0, 1.0))
+        assert np.max(np.abs(lo + s * ab - u)) <= 1e-15
+        point = np.array_equal(lo, hi)
+        assert point == _is_extreme(space, u), (space, v)
+        if not point:
+            # a flat face: on the sphere throughout, and it ends where the
+            # sphere stops being flat
+            assert np.all(lo <= hi)
+            assert norm(space, 0.5 * (lo + hi)) == 1.0
+            assert norm(space, hi + 1e-3 * ab) > 1.0 and norm(space, lo - 1e-3 * ab) > 1.0
+
+
+def test_face_examples_and_rejections():
+    lo, hi = spaces.face("linf", (2.0, -0.5))
+    assert np.array_equal(lo, [1.0, -1.0]) and np.array_equal(hi, [1.0, 1.0])
+    lo, hi = spaces.face("linf", (0.5, -2.0))
+    assert np.array_equal(lo, [-1.0, -1.0]) and np.array_equal(hi, [1.0, -1.0])
+    lo, hi = spaces.face("linf", (-2.0, 2.0))
+    assert np.array_equal(lo, [-1.0, 1.0]) and np.array_equal(hi, lo)
+    lo, hi = spaces.face("hybrid", (-2.0, 1.0))
+    assert np.array_equal(lo, [-1.0, -1.0]) and np.array_equal(hi, [-1.0, 1.0])
+    lo, hi = spaces.face("hybrid", (0.0, 2.0))
+    assert np.array_equal(lo, hi) and lo == pytest.approx([0.0, math.sqrt(2.0)], rel=1e-15)
+    for bad in [(0.0, 0.0), (math.nan, 1.0), (math.inf, 0.0), (1.0, 0.0, 0.0),
+                ((1.0, 0.0), (0.0, 1.0))]:
+        with pytest.raises(ValueError):
+            spaces.face("linf", bad)
+    with pytest.raises(ValueError):
+        spaces.face("l7", (1.0, 0.0))

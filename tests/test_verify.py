@@ -9,7 +9,8 @@ from bicombing_lab.bicombings import (Bicombing, linear_bicombing,
                                       sigma_X1, sigma_X1_bicombing, tau_X1,
                                       tau_X1_bicombing)
 from bicombing_lab.funcspace import vertical_fn_bicombing
-from bicombing_lab.spaces import Region, dist
+from bicombing_lab import spaces
+from bicombing_lab.spaces import Region, dist, norm
 from bicombing_lab.verify import (CHECKERS, SampleConfig, check_conical,
                                   check_consistent, check_convex, check_geodesic,
                                   check_local_linearity, check_midpoint_property,
@@ -209,6 +210,117 @@ def test_mt_set_degenerate_pair():
     clusters = mt_set("linf", (0.25, 0.5), (0.25, 0.5), 0.7)
     assert len(clusters) == 1
     assert np.array_equal(clusters[0].representative, [0.25, 0.5])
+
+
+@pytest.mark.parametrize("p, q, t", [
+    ((math.nan, 0.0), (1.0, 0.0), 0.5),
+    ((0.0, 0.0), (math.inf, 0.0), 0.5),
+    ((0.0, 0.0), (1.0, 0.0), math.nan),
+    ((0.0, 0.0), (1.0, 0.0), 1.5),
+    ((0.0, 0.0), (1.0, 0.0), -0.25),
+    ((0.0, 0.0, 0.0), (1.0, 0.0), 0.5),
+    ((0.0, 0.0), ((1.0, 0.0), (2.0, 0.0)), 0.5),
+], ids=["p_nan", "q_inf", "t_nan", "t_above_1", "t_below_0", "p_shape_3",
+        "q_batch"])
+def test_mt_set_rejects_bad_input(p, q, t):
+    # each of these used to come back as [], a false "no in-between set"
+    with pytest.raises(ValueError):
+        mt_set("linf", p, q, t)
+
+
+def _segment_distance(Z, a, b):
+    ab = b - a
+    length2 = float(ab @ ab)
+    s = np.zeros(len(Z)) if length2 == 0.0 else np.clip((Z - a) @ ab / length2, 0.0, 1.0)
+    return np.hypot(*(Z - (a + s[:, None] * ab)).T)
+
+
+def _brute_force_scan(space, p, q, t, resolution):
+    """Residual of every point of a grid over the bounding box of the two
+    balls, and the grid spacing."""
+    d = float(dist(space, p, q))
+    r1, r2 = t * d, (1.0 - t) * d
+    ext = np.array([1.0 / float(norm(space, (1.0, 0.0))), 1.0 / float(norm(space, (0.0, 1.0)))])
+    lo = np.minimum(p - r1 * ext, q - r2 * ext)
+    hi = np.maximum(p + r1 * ext, q + r2 * ext)
+    X, Y = np.meshgrid(np.linspace(lo[0], hi[0], resolution),
+                       np.linspace(lo[1], hi[1], resolution))
+    Z = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    resid = np.maximum(np.abs(dist(space, Z, p) - r1), np.abs(dist(space, Z, q) - r2))
+    return Z, resid, float(np.max(hi - lo)) / (resolution - 1)
+
+
+@pytest.mark.parametrize("space", ["euclid", "linf", "hybrid"])
+def test_mt_set_agrees_with_a_brute_force_grid_scan(space):
+    """The residual is 1-Lipschitz in the Euclidean metric for all three
+    norms, so every point of M_t has a grid point within one cell whose
+    residual is below one cell: both returned ends must be reached by such
+    grid points. Conversely grid points of near-zero residual must lie near
+    the returned segment. Where the unit sphere is flat the residual grows
+    at least half as fast as the distance from M_t (slowest past the end of
+    a hybrid edge, where the ball turns onto its arc), so the band is half a
+    cell; where it is curved the residual's sublevel sets spread
+    tangentially like sqrt(residual * d), so there the band is cell^2 / d."""
+    rng = np.random.default_rng(2024)
+    resolution = 161
+    segments = 0
+    for _ in range(12):
+        p = rng.uniform(-1.0, 1.0, 2)
+        q = rng.uniform(-1.0, 1.0, 2)
+        t = float(rng.uniform(0.1, 0.9))
+        (cluster,) = mt_set(space, p, q, t, resolution=resolution, tol=1e-9)
+        a, b = cluster.points[0], cluster.points[-1]
+        Z, resid, cell = _brute_force_scan(space, p, q, t, resolution)
+        dx, dy = np.abs(q - p)
+        flat = space == "linf" or (space == "hybrid" and dx > dy)
+        band = 0.5 * cell if flat else cell * cell / float(dist(space, p, q))
+        near_zero = Z[resid <= band]
+        assert not flat or len(near_zero) > 0
+        assert np.all(_segment_distance(near_zero, a, b) <= 2.0 * cell)
+        reached = Z[resid <= cell]
+        for end in (a, b):
+            assert float(np.min(np.hypot(*(reached - end).T))) <= 2.0 * cell
+        segments += float(np.hypot(*(b - a))) > 2.0 * cell
+    # the Euclidean sets are points; the two norms with flat faces give real
+    # segments in this sample, so the check above is not only about points
+    assert (segments == 0) == (space == "euclid")
+
+
+def _mt_ends(space, p, q, t):
+    (cluster,) = mt_set(space, p, q, t, resolution=401, tol=1e-12)
+    pts = cluster.points
+    return pts.min(axis=0), pts.max(axis=0), cluster
+
+
+def test_mt_set_linf_both_edge_orientations():
+    # |dx| > |dy|: the edge x = +1, a vertical segment
+    lo, hi, _ = _mt_ends("linf", (0.0, 0.0), (2.0, 0.5), 0.5)
+    assert np.array_equal(lo, [1.0, -0.5]) and np.array_equal(hi, [1.0, 1.0])
+    # |dy| > |dx|: the edge y = -1, a horizontal segment
+    lo, hi, _ = _mt_ends("linf", (0.0, 0.0), (0.5, -2.0), 0.25)
+    assert np.array_equal(lo, [-0.5, -0.5]) and np.array_equal(hi, [0.5, -0.5])
+
+
+def test_mt_set_hybrid_edge_corner_and_arc():
+    # flat edge x = 1 (|dx| > |dy|): the segment x = 1, 0 <= y <= 1
+    lo, hi, _ = _mt_ends("hybrid", (0.0, 0.0), (2.0, 1.0), 0.5)
+    assert np.array_equal(lo, [1.0, 0.0]) and np.array_equal(hi, [1.0, 1.0])
+    # corner |dx| == |dy| and arc |dy| > |dx|: extreme directions, one point
+    for p, q, t, target in [((-1.0, -1.0), (1.0, 1.0), 0.25, (-0.5, -0.5)),
+                            ((0.0, 0.0), (0.0, 2.0), 0.5, (0.0, 1.0)),
+                            ((0.5, -1.0), (-0.5, 2.0), 0.75, (-0.25, 1.25))]:
+        lo, hi, cluster = _mt_ends("hybrid", p, q, t)
+        assert float(np.max(hi - lo)) <= 1e-15
+        assert np.max(np.abs(cluster.representative - target)) <= 1e-15
+
+
+def test_mt_set_wrong_face_fails_loudly(monkeypatch):
+    # a face that is too long gives points off the in-between set: the
+    # postcondition turns that into an error, never into a false segment
+    monkeypatch.setattr(spaces, "face", lambda space, v: (np.array([-1.0, -1.0]),
+                                                         np.array([-1.0, 1.0])))
+    with pytest.raises(RuntimeError):
+        mt_set("euclid", (1.0, 0.0), (-1.0, 0.0), 0.5)
 
 
 def test_local_linearity():
