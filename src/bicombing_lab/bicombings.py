@@ -18,7 +18,13 @@ geodesic between them. Besides the plain affine selection this module builds:
 * ``pushforward``: conjugate any bicombing by a translation.
 
 Evaluators are closed-form, pure and batch-aware: points may be ``(2,)`` or
-``(n, 2)`` arrays and the parameter a scalar or a length-``n`` array.
+``(n, 2)`` arrays and the parameter a scalar or a length-``n`` array. Each
+planar selection is one kernel in two steps: preparing an endpoint batch
+validates it once and does all the work that does not depend on ``t``
+(orientation, case split, slopes, folds, the ``tau_X1`` midpoint); ``at(t)``
+does the per-parameter arithmetic. The public functions prepare and call
+``at`` once; ``Bicombing.path`` keeps the prepared path for a scan over many
+parameters. Any row of a batch equals that row evaluated alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -47,15 +53,25 @@ class Bicombing:
 
     ``eval(p, q, t)`` is the selected geodesic from ``p`` to ``q`` at
     parameter ``t``; instances are immutable and safe to share.
+
+    ``path(p, q)`` is the selection as a function of ``t`` alone: the ``at``
+    of the optional ``prepare(p, q)``, which validates the endpoint batch once
+    and equals ``eval(p, q, t)`` bit for bit, or else a call of ``eval``.
     """
 
     name: str
     space: str
     domain: spaces.Region
     eval: Callable
+    prepare: Callable | None = None
 
     def __call__(self, p, q, t):
         return self.eval(p, q, t)
+
+    def path(self, p, q):
+        if self.prepare is not None:
+            return self.prepare(p, q).at
+        return lambda t: self.eval(p, q, t)
 
     def dist(self, p, q):
         return spaces.dist(self.space, p, q)
@@ -69,11 +85,11 @@ def _check_delta(delta):
         raise ValueError(f"delta must lie in [0, 1/64], got {delta!r}")
 
 
-def _pqt(p, q, t):
-    """Normalize endpoints and parameter to ``(n, 2), (n, 2), (n,)`` arrays."""
+def _pq(p, q):
+    """Normalize endpoints to ``(n, 2)`` arrays; also whether both were points."""
     P = np.asarray(p, dtype=float)
     Q = np.asarray(q, dtype=float)
-    squeeze = P.ndim == 1 and Q.ndim == 1 and np.ndim(t) == 0
+    single = P.ndim == 1 and Q.ndim == 1
     P = np.atleast_2d(P)
     Q = np.atleast_2d(Q)
     n = max(P.shape[0], Q.shape[0])
@@ -81,8 +97,17 @@ def _pqt(p, q, t):
         P = np.broadcast_to(P, (n, 2))
     if Q.shape[0] != n:
         Q = np.broadcast_to(Q, (n, 2))
-    T = np.ascontiguousarray(np.broadcast_to(np.asarray(t, dtype=float), (n,)))
-    return np.ascontiguousarray(P), np.ascontiguousarray(Q), T, squeeze
+    return np.ascontiguousarray(P), np.ascontiguousarray(Q), single
+
+
+def _param(t, n):
+    # a scalar parameter stays 0-d and serves every row as it is
+    T = np.asarray(t, dtype=float)
+    return T if T.ndim == 0 else np.broadcast_to(T, (n,))
+
+
+def _take(T, rows):
+    return T if T.ndim == 0 else T[rows]
 
 
 def _points(p):
@@ -106,45 +131,69 @@ def linear(p, q, t):
     return (1.0 - T) * P + T * Q
 
 
-def _orient(P, Q, T):
-    # canonical orientation, smaller x first (ties broken on y); running the
-    # reversed pair through the identical branch makes reversibility hold bit
-    # for bit whenever 1-(1-t) == t
-    swap = (P[:, 0] > Q[:, 0]) | ((P[:, 0] == Q[:, 0]) & (P[:, 1] > Q[:, 1]))
-    if not swap.any():
-        return P, Q, T
-    sw = swap[:, None]
-    return (np.where(sw, Q, P), np.where(sw, P, Q), np.where(swap, 1.0 - T, T))
+class _SigmaDeltaPath:
+    """``sigma_delta`` (with ``tilde``, ``sigma_tilde_delta``) prepared on one
+    endpoint batch: validation, orientation, case split and every slope and
+    amplitude happen here once, ``at`` does the per-parameter arithmetic."""
 
+    def __init__(self, delta, p, q, tilde=False):
+        _check_delta(delta)
+        P, Q, self.single = _pq(p, q)
+        _require_in(_X, P, "p")
+        _require_in(_X, Q, "q")
+        self.n = len(P)
+        # right-to-left antenna pairs of sigma_tilde run straight along the axis
+        self.flat = c = (np.flatnonzero((P[:, 0] >= 1.0) & (Q[:, 0] <= -1.0)) if tilde
+                         else np.empty(0, dtype=np.intp))
+        if c.size:
+            self.fx, self.fdx = P[c, 0], Q[c, 0] - P[c, 0]
+        # canonical orientation, smaller x first (ties broken on y); running the
+        # reversed pair through the identical branch makes reversibility hold bit
+        # for bit whenever 1-(1-t) == t
+        swap = (P[:, 0] > Q[:, 0]) | ((P[:, 0] == Q[:, 0]) & (P[:, 1] > Q[:, 1]))
+        self.swap = swap if swap.any() else None
+        if self.swap is not None:
+            P, Q = np.where(swap[:, None], Q, P), np.where(swap[:, None], P, Q)
+        px, py = P[:, 0], P[:, 1]
+        qx, qy = Q[:, 0], Q[:, 1]
+        self.px, self.dx = px, qx - px
+        # case dispatch keys on the closed antennas x <= -1 and x >= 1, the
+        # interior is open in x; rows of no case have both endpoints on one
+        # antenna and stay on the axis
+        p_minus, p_zero = px <= -1.0, (px > -1.0) & (px < 1.0)
+        q_plus, q_zero = qx >= 1.0, (qx > -1.0) & (qx < 1.0)
+        self.bow = c = np.flatnonzero(p_minus & q_plus)  # onto a parabola
+        if c.size:
+            self.amp = delta * np.maximum(qx[c] - px[c] - 4.0, 0.0)
+        self.climb = c = np.flatnonzero(p_minus & q_zero)  # chord from the left tip
+        if c.size:
+            self.up = qy[c] / (qx[c] + 1.0)
+        self.descend = c = np.flatnonzero(p_zero & q_plus)  # chord into the right
+        if c.size:
+            self.down = py[c] / (px[c] - 1.0)
+        self.inner = c = np.flatnonzero(p_zero & q_zero)  # linear interpolation
+        if c.size:
+            self.py, self.dy = py[c], qy[c] - py[c]
 
-def _sigma_delta_core(delta, P, Q, T):
-    # assumes rows oriented so that P precedes Q; case dispatch keys on the
-    # closed antennas x <= -1 and x >= 1, the interior is open in x
-    px, py = P[:, 0], P[:, 1]
-    qx, qy = Q[:, 0], Q[:, 1]
-    x = px + T * (qx - px)
-    y = np.zeros_like(x)
-
-    p_minus = px <= -1.0
-    p_zero = (px > -1.0) & (px < 1.0)
-    q_plus = qx >= 1.0
-    q_zero = (qx > -1.0) & (qx < 1.0)
-
-    c = p_minus & q_plus  # antenna to antenna: bow onto a shallow parabola
-    if c.any():
-        amp = delta * np.maximum(qx[c] - px[c] - 4.0, 0.0)
-        y[c] = amp * np.maximum(0.0, 1.0 - x[c] * x[c])
-    c = p_minus & q_zero  # climb a chord from the left antenna tip
-    if c.any():
-        y[c] = np.maximum(0.0, qy[c] / (qx[c] + 1.0) * (x[c] + 1.0))
-    c = p_zero & q_plus  # descend a chord into the right antenna
-    if c.any():
-        y[c] = np.maximum(0.0, py[c] / (px[c] - 1.0) * (x[c] - 1.0))
-    c = p_zero & q_zero  # interior pairs interpolate linearly
-    if c.any():
-        y[c] = py[c] + T[c] * (qy[c] - py[c])
-    # remaining rows have both endpoints on one antenna and stay on the axis
-    return np.stack([x, y], axis=-1)
+    def at(self, t):
+        T = _param(t, self.n)
+        S = T if self.swap is None else np.where(self.swap, 1.0 - T, T)
+        x = self.px + S * self.dx
+        y = np.zeros_like(x)
+        if self.bow.size:
+            xb = x[self.bow]
+            y[self.bow] = self.amp * np.maximum(0.0, 1.0 - xb * xb)
+        if self.climb.size:
+            y[self.climb] = np.maximum(0.0, self.up * (x[self.climb] + 1.0))
+        if self.descend.size:
+            y[self.descend] = np.maximum(0.0, self.down * (x[self.descend] - 1.0))
+        if self.inner.size:
+            y[self.inner] = self.py + _take(S, self.inner) * self.dy
+        if self.flat.size:
+            x[self.flat] = self.fx + _take(T, self.flat) * self.fdx
+            y[self.flat] = 0.0
+        out = np.stack([x, y], axis=-1)
+        return out[0] if self.single and T.ndim == 0 else out
 
 
 def sigma_delta(delta, p, q, t):
@@ -154,29 +203,13 @@ def sigma_delta(delta, p, q, t):
     ``delta * max(span - 4, 0) * (1 - x^2)``; everything else is piecewise
     linear. Reversible by construction.
     """
-    _check_delta(delta)
-    P, Q, T, squeeze = _pqt(p, q, t)
-    _require_in(_X, P, "p")
-    _require_in(_X, Q, "q")
-    A, B, S = _orient(P, Q, T)
-    out = _sigma_delta_core(delta, A, B, S)
-    return out[0] if squeeze else out
+    return _SigmaDeltaPath(delta, p, q).at(t)
 
 
 def sigma_tilde_delta(delta, p, q, t):
     """Like :func:`sigma_delta`, except geodesics from the right antenna to
     the left one run straight along the axis, which breaks reversibility."""
-    _check_delta(delta)
-    P, Q, T, squeeze = _pqt(p, q, t)
-    _require_in(_X, P, "p")
-    _require_in(_X, Q, "q")
-    A, B, S = _orient(P, Q, T)
-    out = _sigma_delta_core(delta, A, B, S)
-    flat = (P[:, 0] >= 1.0) & (Q[:, 0] <= -1.0)
-    if flat.any():
-        out[flat, 0] = P[flat, 0] + T[flat] * (Q[flat, 0] - P[flat, 0])
-        out[flat, 1] = 0.0
-    return out[0] if squeeze else out
+    return _SigmaDeltaPath(delta, p, q, tilde=True).at(t)
 
 
 def fold_s(p):
@@ -231,6 +264,34 @@ def retraction_pi(p):
     return out[0] if squeeze else out
 
 
+class _X1Path:
+    """``sigma_X1`` prepared on one endpoint batch: the branch split and the
+    folded endpoints of the right-to-left rows. ``checked=False`` skips the
+    validation for endpoints already known to lie in ``X1``."""
+
+    def __init__(self, p, q, checked=True):
+        P, Q, self.single = _pq(p, q)
+        if checked:
+            _require_in(_X1, P, "p")
+            _require_in(_X1, Q, "q")
+        self.n = len(P)
+        first = P[:, 0] <= Q[:, 0]
+        self.first, self.rest = np.flatnonzero(first), np.flatnonzero(~first)
+        if self.first.size:
+            self.P, self.Q = P[self.first], Q[self.first]
+        if self.rest.size:
+            self.A, self.B = _fold(P[self.rest]), _fold(Q[self.rest])
+
+    def at(self, t):
+        T = _param(t, self.n)
+        out = np.empty((self.n, 2))
+        if self.first.size:
+            out[self.first] = _pi(linear(self.P, self.Q, _take(T, self.first)))
+        if self.rest.size:
+            out[self.rest] = _fold(_pi(linear(self.A, self.B, _take(T, self.rest))))
+        return out[0] if self.single and T.ndim == 0 else out
+
+
 def sigma_X1(p, q, t):
     """Retraction bicombing on the folded strip ``X1`` under the max norm.
 
@@ -239,19 +300,32 @@ def sigma_X1(p, q, t):
     orientations select genuinely different paths. Conical, not reversible.
     Ties ``p_x == q_x`` take the first branch.
     """
-    P, Q, T, squeeze = _pqt(p, q, t)
-    _require_in(_X1, P, "p")
-    _require_in(_X1, Q, "q")
-    out = np.empty_like(P)
-    first = P[:, 0] <= Q[:, 0]
-    if first.any():
-        out[first] = _pi(linear(P[first], Q[first], T[first]))
-    rest = ~first
-    if rest.any():
-        A = _fold(P[rest])
-        B = _fold(Q[rest])
-        out[rest] = _fold(_pi(linear(A, B, T[rest])))
-    return out[0] if squeeze else out
+    return _X1Path(p, q).at(t)
+
+
+class _TauX1Path:
+    """``tau_X1`` prepared on one endpoint batch: the averaged midpoint ``M``,
+    checked once, and the two ``sigma_X1`` halves ``(P, M)`` and ``(M, Q)``."""
+
+    def __init__(self, p, q):
+        P, Q, self.single = _pq(p, q)
+        _require_in(_X1, P, "p")
+        _require_in(_X1, Q, "q")
+        M = 0.5 * (_X1Path(P, Q, False).at(0.5) + _X1Path(Q, P, False).at(0.5))
+        ok = np.atleast_1d(spaces.contains(_X1, M))
+        if not ok.all():
+            bad = M[~ok][0]
+            raise ValueError(f"averaged midpoint {tuple(bad)} escaped X1")
+        self.n = len(P)
+        self.lo, self.hi = _X1Path(P, M, False), _X1Path(M, Q, False)
+
+    def at(self, t):
+        T = _param(t, self.n)
+        if T.ndim == 0:
+            out = self.lo.at(2.0 * T) if T <= 0.5 else self.hi.at(2.0 * T - 1.0)
+            return out[0] if self.single else out
+        # each row keeps the half its parameter falls in
+        return np.where((T <= 0.5)[:, None], self.lo.at(2.0 * T), self.hi.at(2.0 * T - 1.0))
 
 
 def tau_X1(p, q, t):
@@ -261,38 +335,20 @@ def tau_X1(p, q, t):
     :func:`sigma_X1` and then from ``m`` to ``q``, each at double speed. Has
     the midpoint property by construction, yet is still not reversible.
     """
-    P, Q, T, squeeze = _pqt(p, q, t)
-    _require_in(_X1, P, "p")
-    _require_in(_X1, Q, "q")
-    M = 0.5 * (sigma_X1(P, Q, 0.5) + sigma_X1(Q, P, 0.5))
-    ok = np.atleast_1d(spaces.contains(_X1, M))
-    if not ok.all():
-        bad = M[~ok][0]
-        raise ValueError(f"averaged midpoint {tuple(bad)} escaped X1")
-    out = np.empty_like(P)
-    lo = T <= 0.5
-    if lo.any():
-        out[lo] = sigma_X1(P[lo], M[lo], 2.0 * T[lo])
-    hi = ~lo
-    if hi.any():
-        out[hi] = sigma_X1(M[hi], Q[hi], 2.0 * T[hi] - 1.0)
-    return out[0] if squeeze else out
+    return _TauX1Path(p, q).at(t)
 
 
 def pushforward(shift, base, p, q, t):
     """Evaluate ``base`` conjugated by the translation about ``shift``."""
     shift = np.asarray(shift, dtype=float)
-    P, Q, T, squeeze = _pqt(p, q, t)
+    P, Q, single = _pq(p, q)
+    T = np.broadcast_to(np.asarray(t, dtype=float), (len(P),))
     P0 = P - shift
     Q0 = Q - shift
-    for label, Z in (("p", P0), ("q", Q0)):
-        ok = np.atleast_1d(spaces.contains(base.domain, Z, spaces.DEFAULT_TOL))
-        if not ok.all():
-            bad = Z[~ok][0]
-            raise ValueError(
-                f"translated {label} endpoint {tuple(bad)} lies outside {base.domain.tag}")
+    _require_in(base.domain, P0, "translated p")
+    _require_in(base.domain, Q0, "translated q")
     out = base.eval(P0, Q0, T) + shift
-    return out[0] if squeeze else out
+    return out[0] if single and np.ndim(t) == 0 else out
 
 
 def linear_bicombing(space="euclid", domain=None, name="linear"):
@@ -305,18 +361,20 @@ def linear_bicombing(space="euclid", domain=None, name="linear"):
 def sigma_delta_bicombing(delta=DELTA_MAX, name=None):
     _check_delta(delta)
     return Bicombing(name or f"sigma_delta[{delta:g}]", "hybrid", _X,
-                     functools.partial(sigma_delta, delta))
+                     functools.partial(sigma_delta, delta),
+                     functools.partial(_SigmaDeltaPath, delta))
 
 
 def sigma_tilde_bicombing(delta=DELTA_MAX, name=None):
     _check_delta(delta)
     return Bicombing(name or f"sigma_tilde[{delta:g}]", "hybrid", _X,
-                     functools.partial(sigma_tilde_delta, delta))
+                     functools.partial(sigma_tilde_delta, delta),
+                     functools.partial(_SigmaDeltaPath, delta, tilde=True))
 
 
 def sigma_X1_bicombing():
-    return Bicombing("sigma_X1", "linf", _X1, sigma_X1)
+    return Bicombing("sigma_X1", "linf", _X1, sigma_X1, _X1Path)
 
 
 def tau_X1_bicombing():
-    return Bicombing("tau_X1", "linf", _X1, tau_X1)
+    return Bicombing("tau_X1", "linf", _X1, tau_X1, _TauX1Path)

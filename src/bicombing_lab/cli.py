@@ -22,8 +22,7 @@ import numpy as np
 
 from . import funcspace, spaces, verify
 from .bicombings import (DELTA_MAX, fold_f, sigma_delta, sigma_delta_bicombing,
-                         sigma_tilde_bicombing, sigma_X1, sigma_X1_bicombing,
-                         tau_X1, tau_X1_bicombing)
+                         sigma_tilde_bicombing, sigma_X1, sigma_X1_bicombing, tau_X1)
 from .midpoint import MidpointConfig, reversibilize
 
 SUITE_NAMES = ("counterexample_sigma_delta", "counterexample_sigma_tilde",
@@ -63,42 +62,51 @@ def _cfg(spec, tuples=None):
                                t_grid=33, tol=spec.tol)
 
 
-def _run_checks(b, row, props, cfg):
-    reports = {prop: verify.CHECKERS[prop](b, cfg) for prop in props}
-    observed = {row: {prop: rep.passed for prop, rep in reports.items()}}
-    files = [(f"{row}.{prop}", rep) for prop, rep in reports.items()]
-    return observed, files
+def _expected(delta):
+    """:data:`verify.EXPECTED_MATRIX` at bulge parameter ``delta``; without a
+    bulge ``sigma_delta`` is consistent and ``sigma_tilde`` reversible and
+    consistent."""
+    expected = {row: dict(props) for row, props in verify.EXPECTED_MATRIX.items()}
+    if delta == 0.0:
+        expected["sigma_delta"]["consistent"] = True
+        expected["sigma_tilde"]["reversible"] = True
+        expected["sigma_tilde"]["consistent"] = True
+    return expected
 
 
-def _suite_sigma_delta(spec):
-    cfg = _cfg(spec)
-    props = ("geodesic", "conical", "convex", "reversible",
-             "midpoint_property", "consistent")
-    observed, files = _run_checks(sigma_delta_bicombing(spec.delta),
-                                  "sigma_delta", props, cfg)
-    expected = {"sigma_delta": {
-        "geodesic": True, "conical": True, "convex": True, "reversible": True,
-        "midpoint_property": True, "consistent": spec.delta == 0.0}}
-    return observed, expected, files, {}
+def _merge(*parts):
+    """Combine ``(observed, expected, files, extras)`` parts in order; where
+    two parts give the same (row, property) or file, the first one stays."""
+    observed, expected, files, extras = {}, {}, [], {}
+    for obs, exp, fl, ex in parts:
+        for into, table in ((observed, obs), (expected, exp)):
+            for row, props in table.items():
+                target = into.setdefault(row, {})
+                for prop, val in props.items():
+                    target.setdefault(prop, val)
+        seen = {name for name, _ in files}
+        files.extend((name, rep) for name, rep in fl if name not in seen)
+        extras.update(ex)
+    return observed, expected, files, extras
 
 
-def _suite_sigma_tilde(spec):
-    cfg = _cfg(spec)
-    props = ("geodesic", "convex", "reversible", "consistent")
-    observed, files = _run_checks(sigma_tilde_bicombing(spec.delta),
-                                  "sigma_tilde", props, cfg)
-    expected = {"sigma_tilde": {
-        "geodesic": True, "convex": True,
-        "reversible": spec.delta == 0.0, "consistent": spec.delta == 0.0}}
-    return observed, expected, files, {}
+def _checks(spec, rows, cfg=None):
+    """The matrix checks of ``rows`` as a suite part, by default at the spec's
+    full sample size."""
+    built = verify.builtin_bicombings(spec.delta)
+    cfg = cfg or _cfg(spec)
+    reports = {row: {prop: verify.CHECKERS[prop](built[row], cfg)
+                     for prop in verify.MATRIX_CHECKS[row]} for row in rows}
+    observed = {row: {prop: rep.passed for prop, rep in props.items()}
+                for row, props in reports.items()}
+    expected = _expected(spec.delta)
+    files = [(f"{row}.{prop}", rep)
+             for row, props in reports.items() for prop, rep in props.items()]
+    return observed, {row: expected[row] for row in rows}, files, {}
 
 
 def _suite_X1(spec):
-    cfg = _cfg(spec)
-    props = ("geodesic", "conical", "reversible", "midpoint_property")
-    observed, files = _run_checks(sigma_X1_bicombing(), "sigma_X1", props, cfg)
-    expected = {"sigma_X1": {"geodesic": True, "conical": True,
-                             "reversible": False, "midpoint_property": False}}
+    observed, expected, files, _ = _checks(spec, ["sigma_X1"])
     witness = {
         "forward": sigma_X1((-2.0, 1.0), (0.0, 0.0), 0.75).tolist(),
         "backward": sigma_X1((0.0, 0.0), (-2.0, 1.0), 0.25).tolist(),
@@ -106,56 +114,46 @@ def _suite_X1(spec):
     return observed, expected, files, {"reversal_witness": witness}
 
 
-def _suite_tau_X1(spec):
-    cfg = _cfg(spec)
-    props = ("geodesic", "conical", "midpoint_property", "reversible")
-    observed, files = _run_checks(tau_X1_bicombing(), "tau_X1", props, cfg)
-    expected = {"tau_X1": {"geodesic": True, "conical": True,
-                           "midpoint_property": True, "reversible": False}}
+def _tau_golden():
     fwd = tau_X1((-1.5, 0.5), (0.0, 0.5), 5.0 / 12.0)
     bwd = tau_X1((0.0, 0.5), (-1.5, 0.5), 7.0 / 12.0)
     ok = (np.max(np.abs(fwd - np.array([-0.875, 0.125]))) <= 1e-12
           and np.max(np.abs(bwd - np.array([-0.875, 1.0 / 48.0]))) <= 1e-12)
-    observed["tau_X1"]["golden_witness"] = bool(ok)
-    expected["tau_X1"]["golden_witness"] = True
     extras = {"golden_forward": fwd.tolist(), "golden_backward": bwd.tolist()}
-    return observed, expected, files, extras
+    return ({"tau_X1": {"golden_witness": bool(ok)}},
+            {"tau_X1": {"golden_witness": True}}, [], extras)
 
 
-def _suite_reversibilize(spec):
+def _reversibilized(spec):
     # midpoint iterations make every evaluation ~70 base evaluations deep,
     # so this suite caps the tuple count
     cfg = _cfg(spec, tuples=min(spec.tuples, 2000))
-    base = sigma_tilde_bicombing(spec.delta)
-    fixed = reversibilize(base, MidpointConfig(tol=1e-10))
-    base_rev = verify.check_reversible(base, cfg)
+    fixed = reversibilize(sigma_tilde_bicombing(spec.delta), MidpointConfig(tol=1e-10))
     out_rev = verify.check_reversible(fixed, cfg)
     small = dataclasses.replace(cfg, tuples=min(cfg.tuples, 500))
     out_geo = verify.check_geodesic(fixed, small)
     out_con = verify.check_conical(fixed, small)
-    observed = {
-        "sigma_tilde": {"reversible": base_rev.passed},
-        "reversibilized_sigma_tilde": {"reversible": out_rev.passed,
-                                       "geodesic": out_geo.passed,
-                                       "conical": out_con.passed},
-    }
-    expected = {
-        "sigma_tilde": {"reversible": spec.delta == 0.0},
-        "reversibilized_sigma_tilde": {"reversible": True, "geodesic": True,
-                                       "conical": True},
-    }
-    files = [("sigma_tilde.reversible", base_rev),
-             ("reversibilized_sigma_tilde.reversible", out_rev),
+    observed = {"reversibilized_sigma_tilde": {"reversible": out_rev.passed,
+                                               "geodesic": out_geo.passed,
+                                               "conical": out_con.passed}}
+    expected = {"reversibilized_sigma_tilde": {"reversible": True, "geodesic": True,
+                                               "conical": True}}
+    files = [("reversibilized_sigma_tilde.reversible", out_rev),
              ("reversibilized_sigma_tilde.geodesic", out_geo),
              ("reversibilized_sigma_tilde.conical", out_con)]
     return observed, expected, files, {}
 
 
-def _suite_funcspace(spec):
-    cfg = _cfg(spec, tuples=min(spec.tuples, 3000))
-    rep_v = verify.check_consistent(funcspace.vertical_fn_bicombing(), cfg)
-    rep_h = verify.check_consistent(funcspace.horizontal_fn_bicombing(), cfg)
+def _suite_reversibilize(spec):
+    base = verify.check_reversible(sigma_tilde_bicombing(spec.delta),
+                                   _cfg(spec, tuples=min(spec.tuples, 2000)))
+    expected = _expected(spec.delta)["sigma_tilde"]["reversible"]
+    return _merge(({"sigma_tilde": {"reversible": base.passed}},
+                   {"sigma_tilde": {"reversible": expected}},
+                   [("sigma_tilde.reversible", base)], {}), _reversibilized(spec))
 
+
+def _funcspace_extras(spec):
     f = funcspace.sqrt_approx(256)
     g = funcspace.identity_fn()
     mid_v = funcspace.vertical_bicombing(f, g, 0.5)
@@ -173,25 +171,21 @@ def _suite_funcspace(spec):
             funcspace.l1_distance(funcspace.invert(a), funcspace.invert(b))
             - funcspace.l1_distance(a, b)))
 
-    observed = {
-        "funcspace_vertical": {"consistent": rep_v.passed},
-        "funcspace_horizontal": {"consistent": rep_h.passed},
-        "funcspace": {"distinct": separation > 1e-2,
-                      "horizontal_closed_form": closed_err <= 5e-4,
-                      "inversion_isometry": iso_err <= 1e-12},
-    }
-    expected = {
-        "funcspace_vertical": {"consistent": True},
-        "funcspace_horizontal": {"consistent": True},
-        "funcspace": {"distinct": True, "horizontal_closed_form": True,
-                      "inversion_isometry": True},
-    }
-    files = [("funcspace_vertical.consistent", rep_v),
-             ("funcspace_horizontal.consistent", rep_h)]
+    observed = {"funcspace": {"distinct": separation > 1e-2,
+                              "horizontal_closed_form": closed_err <= 5e-4,
+                              "inversion_isometry": iso_err <= 1e-12}}
+    expected = {"funcspace": {"distinct": True, "horizontal_closed_form": True,
+                              "inversion_isometry": True}}
     extras = {"vertical_vs_horizontal_l1": separation,
               "closed_form_max_error": closed_err,
               "inversion_isometry_max_error": iso_err}
-    return observed, expected, files, extras
+    return observed, expected, [], extras
+
+
+def _suite_funcspace(spec):
+    cfg = _cfg(spec, tuples=min(spec.tuples, 3000))
+    return _merge(_checks(spec, ["funcspace_vertical", "funcspace_horizontal"], cfg),
+                  _funcspace_extras(spec))
 
 
 def _suite_rigidity(spec):
@@ -248,43 +242,18 @@ def _suite_thresholds(spec):
 
 
 def _suite_all(spec):
-    cfg = _cfg(spec)
-    reports = verify.run_matrix(cfg, delta=spec.delta)
-    expected_matrix = {row: dict(props) for row, props in verify.EXPECTED_MATRIX.items()}
-    if spec.delta == 0.0:
-        expected_matrix["sigma_delta"]["consistent"] = True
-        expected_matrix["sigma_tilde"]["reversible"] = True
-        expected_matrix["sigma_tilde"]["consistent"] = True
-    observed = {row: {prop: rep.passed for prop, rep in props.items()}
-                for row, props in reports.items()}
-    files = [(f"{row}.{prop}", rep)
-             for row, props in reports.items() for prop, rep in props.items()]
-    expected = expected_matrix
-    extras = {}
-    for sub in (_suite_tau_X1, _suite_reversibilize, _suite_funcspace,
-                _suite_rigidity, _suite_thresholds):
-        obs, exp, fl, ex = sub(spec)
-        # keep the full-sample matrix verdicts where a sub-suite recomputes a
-        # check at its own (capped) sample size
-        for row, props in obs.items():
-            target = observed.setdefault(row, {})
-            for prop, val in props.items():
-                target.setdefault(prop, val)
-        for row, props in exp.items():
-            target = expected.setdefault(row, {})
-            for prop, val in props.items():
-                target.setdefault(prop, val)
-        seen = {name for name, _ in files}
-        files.extend((name, rep) for name, rep in fl if name not in seen)
-        extras.update(ex)
-    return observed, expected, files, extras
+    # the sub-suites' own matrix checks would only repeat the full-sample ones
+    return _merge(_checks(spec, verify.MATRIX_CHECKS), _tau_golden(),
+                  _reversibilized(spec), _funcspace_extras(spec),
+                  _suite_rigidity(spec), _suite_thresholds(spec))
 
 
 _SUITES = {
-    "counterexample_sigma_delta": _suite_sigma_delta,
-    "counterexample_sigma_tilde": _suite_sigma_tilde,
+    "counterexample_sigma_delta": lambda spec: _checks(spec, ["sigma_delta"]),
+    "counterexample_sigma_tilde": lambda spec: _checks(spec, ["sigma_tilde"]),
     "counterexample_X1": _suite_X1,
-    "counterexample_tau_X1": _suite_tau_X1,
+    "counterexample_tau_X1": lambda spec: _merge(_checks(spec, ["tau_X1"]),
+                                                 _tau_golden()),
     "reversibilize_demo": _suite_reversibilize,
     "funcspace_demo": _suite_funcspace,
     "rigidity": _suite_rigidity,

@@ -381,6 +381,9 @@ class FunctionBicombing:
     def __call__(self, F, G, t):
         return self.eval(F, G, t)
 
+    def path(self, F, G):
+        return lambda t: self.eval(F, G, t)
+
     def dist(self, F, G):
         return l1_distance_batch(F, G)
 

@@ -30,6 +30,8 @@ REGION_TAGS = ("X", "Xminus", "Xzero", "Xplus", "X1", "X2", "Y1", "Y2", "ball")
 #: floating-point output can sit a few ulps outside the exact set.
 DEFAULT_TOL = 1e-9
 
+_TINY = np.finfo(float).tiny
+
 
 def _xy(p):
     p = np.asarray(p, dtype=float)
@@ -47,8 +49,17 @@ def norm(space, v):
         return np.maximum(np.abs(x), np.abs(y))
     if space == "hybrid":
         # max(|x|, (sqrt2/2)*|v|_2), written with a single sqrt so the two
-        # branches compare exactly when |y| == |x|
-        return np.maximum(np.abs(x), np.sqrt((x * x + y * y) / 2.0))
+        # branches compare exactly when |y| == |x|; rows whose squares overflow
+        # or underflow are rescaled by m = max(|x|, |y|) first
+        s = x * x + y * y
+        r = np.sqrt(s / 2.0)
+        if not (s.max() < np.inf and (s.min() >= _TINY or not (x.any() or y.any()))):
+            m = np.maximum(np.abs(x), np.abs(y))
+            bad = np.isinf(s) & np.isfinite(m) | (s < _TINY) & (m > 0.0)
+            if bad.any():
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    r = np.where(bad, m * np.sqrt(((x / m) ** 2 + (y / m) ** 2) / 2.0), r)
+        return np.maximum(np.abs(x), r)
     raise ValueError(f"unknown space {space!r}")
 
 

@@ -228,7 +228,8 @@ def check_geodesic(b, cfg):
     Q = b.sample(rng, cfg.tuples)
     grid = _grid(cfg)
     d = np.atleast_1d(np.asarray(b.dist(P, Q), dtype=float))
-    evals = [b.eval(P, Q, float(t)) for t in grid]
+    path = b.path(P, Q)
+    evals = [path(float(t)) for t in grid]
 
     worst, k_at, s_at, t_at = None, 0, 0.0, 1.0
 
@@ -273,10 +274,11 @@ def check_conical(b, cfg):
     grid = _grid(cfg)
     dp = np.atleast_1d(np.asarray(b.dist(P, P2), dtype=float))
     dq = np.atleast_1d(np.asarray(b.dist(Q, Q2), dtype=float))
+    path, path2 = b.path(P, Q), b.path(P2, Q2)
 
     worst, k_at, t_at = None, 0, 0.5
     for t in grid:
-        lhs = np.atleast_1d(b.dist(b.eval(P, Q, float(t)), b.eval(P2, Q2, float(t))))
+        lhs = np.atleast_1d(b.dist(path(float(t)), path2(float(t))))
         v = lhs - ((1.0 - t) * dp + t * dq)
         k = _argworst(v)
         if _outranks(float(v[k]), worst):
@@ -315,9 +317,10 @@ def check_convex(b, cfg, tau_steps=(1.0 / 64.0, 1.0 / 128.0)):
             if lo >= 0.0 and hi <= 1.0:
                 triples.append((float(t), float(tau)))
                 needed.update((float(t), lo, hi))
+    path, path2 = b.path(P, Q), b.path(P2, Q2)
     fvals = {}
     for t in sorted(needed):
-        fvals[t] = np.atleast_1d(b.dist(b.eval(P, Q, t), b.eval(P2, Q2, t)))
+        fvals[t] = np.atleast_1d(b.dist(path(t), path2(t)))
 
     worst, k_at, t_at, tau_at = None, 0, 0.5, tau_steps[0]
     for t, tau in triples:
@@ -354,10 +357,11 @@ def check_consistent(b, cfg):
     s1, s2 = s[:, 0], s[:, 1]
     u = rng.random(cfg.tuples)
 
-    A = b.eval(P, Q, s1)
-    B = b.eval(P, Q, s2)
+    path = b.path(P, Q)
+    A = path(s1)
+    B = path(s2)
     lhs = b.eval(A, B, u)
-    rhs = b.eval(P, Q, (1.0 - u) * s1 + u * s2)
+    rhs = path((1.0 - u) * s1 + u * s2)
     v = np.atleast_1d(np.asarray(b.dist(lhs, rhs), dtype=float))
     k = _argworst(v)
     worst = float(v[k])
@@ -368,14 +372,7 @@ def check_consistent(b, cfg):
 
     def viol_full(points, prm):
         a1, a2, uu = prm
-        if a1 > a2:
-            a1, a2 = a2, a1
-        p, q = points
-        ga = _eval1(b, p, q, a1)
-        gb = _eval1(b, p, q, a2)
-        sub = _eval1(b, ga, gb, uu)
-        ref = _eval1(b, p, q, (1.0 - uu) * a1 + uu * a2)
-        return _dist1(b, sub, ref)
+        return consistency_defect(b, *points, min(a1, a2), max(a1, a2), uu)
 
     return _finish("consistent", cfg, b.name, worst, samples, pts, ("p", "q"),
                    params, ("s1", "s2", "u"), viol_full)
@@ -402,10 +399,11 @@ def check_reversible(b, cfg):
     P = b.sample(rng, cfg.tuples)
     Q = b.sample(rng, cfg.tuples)
     grid = _grid(cfg)
+    forward, backward = b.path(P, Q), b.path(Q, P)
 
     worst, k_at, t_at = None, 0, 0.5
     for t in grid:
-        v = np.atleast_1d(b.dist(b.eval(P, Q, float(t)), b.eval(Q, P, float(1.0 - t))))
+        v = np.atleast_1d(b.dist(forward(float(t)), backward(float(1.0 - t))))
         k = _argworst(v)
         if _outranks(float(v[k]), worst):
             worst, k_at, t_at = float(v[k]), k, float(t)
@@ -465,10 +463,11 @@ def check_local_linearity(b, center, r, cfg):
     P = spaces.sample_region_rng(ballreg, rng, cfg.tuples)
     Q = spaces.sample_region_rng(ballreg, rng, cfg.tuples)
     grid = _grid(cfg)
+    path = b.path(P, Q)
 
     worst, k_at, t_at = None, 0, 0.5
     for t in grid:
-        v = np.atleast_1d(b.dist(b.eval(P, Q, float(t)), linear(P, Q, float(t))))
+        v = np.atleast_1d(b.dist(path(float(t)), linear(P, Q, float(t))))
         k = _argworst(v)
         if _outranks(float(v[k]), worst):
             worst, k_at, t_at = float(v[k]), k, float(t)

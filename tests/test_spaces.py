@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bicombing_lab import spaces
 from bicombing_lab.spaces import Region, contains, dist, norm, sample_region
+from bicombing_lab.verify import mt_set
 
 
 def test_norm_examples():
@@ -61,6 +62,44 @@ def test_hybrid_norm_kink_is_exact_on_dyadic_grid():
     equal = n == np.abs(pts[:, 0])
     flat = np.abs(pts[:, 1]) <= np.abs(pts[:, 0])
     assert np.array_equal(equal, flat)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("v", [(0.0, 1e200), (1e200, 1e200), (-3e200, 5e200),
+                               (0.0, 1e-170), (1e-170, -1e-170), (2e-170, 7e-170),
+                               (0.0, 5e-324)])
+def test_hybrid_norm_survives_overflow_and_underflow(v):
+    # x*x + y*y overflows to inf or underflows below the smallest normal
+    # float: the rows are rescaled, so the norm keeps the Euclidean norm's
+    # ratio 1/sqrt(2) (|y| >= |x| here) instead of reading inf or 0
+    got = float(norm("hybrid", v))
+    want = float(norm("euclid", v)) / math.sqrt(2.0)
+    assert 0.0 < got < math.inf
+    assert got == pytest.approx(want, rel=1e-15 if abs(v[1]) > 1e-300 else 0.5)
+    assert norm("hybrid", np.array([v, (1.0, 2.0), (0.0, 0.0)]))[0] == got
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_hybrid_norm_rescaling_leaves_other_rows_alone():
+    V = np.array([[1e200, 0.0], [0.0, 1e-170], [1.0, 2.0], [0.0, 0.0],
+                  [3e-160, 1e-300], [math.inf, 1.0], [math.nan, 1.0]])
+    got = norm("hybrid", V)
+    assert got[0] == 1e200 and got[4] == 3e-160
+    assert got[2] == max(1.0, math.sqrt(5.0 / 2.0)) and got[3] == 0.0
+    assert got[5] == math.inf and math.isnan(got[6])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_mt_set_far_out_has_no_nan_conversion():
+    # the norm read inf here, which became "cannot convert float NaN to
+    # integer"; the absolute tol may still reject the answer this far out
+    try:
+        (cluster,) = mt_set("hybrid", (0.0, 0.0), (1e200, 0.0), 0.5)
+    except RuntimeError as exc:
+        assert "exceeds tol" in str(exc)
+    else:
+        assert np.isfinite(cluster.points).all()
+    assert float(dist("hybrid", (0.0, 0.0), (1e200, 0.0))) == 1e200
 
 
 def test_contains_examples():
