@@ -50,10 +50,7 @@ class SuiteSpec:
             raise ValueError(f"unknown suite {self.name!r}")
         if not 0.0 <= self.delta <= DELTA_MAX:
             raise ValueError(f"delta must lie in [0, 1/64], got {self.delta!r}")
-        if self.tuples < 1:
-            raise ValueError("tuples must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        _cfg(self)  # tuples and tol, checked as the engine checks them
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
 

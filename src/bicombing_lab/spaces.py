@@ -51,7 +51,8 @@ def norm(space, v):
         # max(|x|, (sqrt2/2)*|v|_2), written with a single sqrt so the two
         # branches compare exactly when |y| == |x|; rows whose squares overflow
         # or underflow are rescaled by m = max(|x|, |y|) first
-        s = x * x + y * y
+        with np.errstate(over="ignore"):
+            s = x * x + y * y
         r = np.sqrt(s / 2.0)
         if not (s.max() < np.inf and (s.min() >= _TINY or not (x.any() or y.any()))):
             m = np.maximum(np.abs(x), np.abs(y))

@@ -21,8 +21,10 @@ identical reports.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +47,24 @@ class SampleConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.tuples < 1:
-            raise ValueError("tuples must be >= 1")
-        if self.t_grid < 3:
-            raise ValueError("t_grid must be >= 3")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        _require_count("seed", self.seed, 0)
+        _require_count("tuples", self.tuples, 1)
+        _require_count("t_grid", self.t_grid, 3)
+        _require_tol(self.tol)
+
+
+def _require_count(name, value, least):
+    # bool is an int subclass, but True is not a count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
+def _require_tol(tol):
+    # an infinite tol would pass every check and put Infinity in the reports
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -96,16 +110,9 @@ def _ser_point(p):
     return p.ravel().tolist()
 
 
-def _single(point):
-    return np.asarray(point, dtype=float)[None]
-
-
-def _eval1(b, p, q, t):
-    return b.eval(_single(p), _single(q), float(t))[0]
-
-
-def _dist1(b, p, q):
-    return float(np.atleast_1d(b.dist(_single(p), _single(q)))[0])
+def _rows(points, m):
+    """The points of one witness tuple, each repeated to ``m`` rows."""
+    return [np.repeat(np.asarray(p, dtype=float)[None], m, axis=0) for p in points]
 
 
 def _grid(cfg):
@@ -134,26 +141,53 @@ def _refine_params(viol, params, bounds, tol):
 
     Coordinate steps with halving, stopping once a full sweep gains less than
     tol/10 at the smallest step. Used only to sharpen failing witnesses.
+
+    ``viol`` maps an ``(m, k)`` array of parameter rows to ``(m,)``
+    violations. Each call evaluates, from the current point, every candidate
+    the schedule would try if none of them improved: the rest of the current
+    sweep, then each later sweep of the halving ladder. Replaying the rules
+    over the batch in order finds the first improving candidate; the schedule
+    moves there and the next batch starts from it. Every candidate before it
+    was built from exactly that point and step, so the result is the one of
+    trying one candidate at a time.
     """
     params = [float(v) for v in params]
-    best = viol(*params)
-    step = 1.0 / 16.0
-    sweeps = 0
-    while step >= 1e-6 and sweeps < 200:
-        sweeps += 1
-        gained = 0.0
-        for k in range(len(params)):
-            for sign in (1.0, -1.0):
-                cand = list(params)
-                cand[k] = min(max(cand[k] + sign * step, bounds[k][0]), bounds[k][1])
-                v = viol(*cand)
-                if v > best:
-                    gained += v - best
-                    best = v
-                    params = cand
-        if gained < tol / 10.0:
-            step *= 0.5
-    return best, tuple(params)
+    n = 2 * len(params)
+    best = None
+    # the schedule's position: step, sweep count, next candidate of the
+    # sweep (coordinate j // 2, sign + then -) and the sweep's gain so far
+    step, sweeps, j, gained = 1.0 / 16.0, 1, 0, 0.0
+    while True:
+        plan = []
+        s, sw, jj, g = step, sweeps, j, gained
+        while True:
+            if jj == n:
+                if g < tol / 10.0:
+                    s *= 0.5
+                if not (s >= 1e-6 and sw < 200):
+                    break
+                sw, jj, g = sw + 1, 0, 0.0
+            k = jj // 2
+            cand = list(params)
+            cand[k] = min(max(cand[k] + (-s if jj % 2 else s), bounds[k][0]), bounds[k][1])
+            jj += 1
+            plan.append((cand, s, sw, jj))
+        batch = [cand for cand, *_ in plan]
+        if best is None:
+            batch.insert(0, params)
+        elif not batch:
+            return best, tuple(params)
+        vals = viol(np.array(batch, dtype=float))
+        if best is None:
+            best, vals = vals[0], vals[1:]
+        for (cand, s, sw, jj), v in zip(plan, vals):
+            if v > best:
+                gained = (gained if sw == sweeps else 0.0) + (v - best)
+                best, params = v, cand
+                step, sweeps, j = s, sw, jj
+                break
+        else:
+            return best, tuple(params)
 
 
 def _shrink_points(viol_pts, pts, ref, tol):
@@ -176,44 +210,59 @@ def _shrink_points(viol_pts, pts, ref, tol):
     return pts, viol_pts(pts)
 
 
-def _guard(fn):
-    def wrapped(pts, params):
+def _guard(viol):
+    """``viol`` with an infeasible candidate scored ``-inf``: a batch that
+    raises ``ValueError`` is replayed row by row, and a row that raises on
+    its own is ``-inf``."""
+    def one(points, params, i):
         try:
-            return fn(pts, params)
+            return viol([p[i:i + 1] for p in points], params[i:i + 1])[0]
         except ValueError:
             return -math.inf
+
+    def wrapped(points, params):
+        try:
+            return np.asarray(viol(points, params), dtype=float)
+        except ValueError:
+            return np.array([one(points, params, i) for i in range(len(params))])
 
     return wrapped
 
 
 def _finish(prop, cfg, bicombing, worst, samples, pts, names, params, param_names,
-            viol_full=None):
+            viol=None):
     """Assemble a report; on failure refine the witness parameters, shrink the
     witness points and re-evaluate the violation they attain.
 
-    ``viol_full(points, params)`` recomputes the violation of one tuple; it
-    may raise ``ValueError`` for infeasible candidates (treated as rejected).
+    ``viol(points, params)`` is the batched violation: ``points`` holds the
+    tuple's points repeated to ``m`` rows, ``params`` is ``(m, k)`` and the
+    result ``(m,)``. A batch may raise ``ValueError`` for an infeasible
+    candidate, which is then rejected (see :func:`_guard`).
     """
     if worst <= cfg.tol:
         return PropertyReport(prop, True, float(worst), None, int(samples),
                               cfg.seed, cfg.tol, bicombing)
     params = [float(v) for v in params]
     at = worst
-    if viol_full is not None and math.isfinite(worst):
-        viol = _guard(viol_full)
+    if viol is not None and math.isfinite(worst):
+        viol = _guard(viol)
         if params:
             bounds = [(0.0, 1.0)] * len(params)
-            refined, tuned = _refine_params(lambda *ps: viol(pts, list(ps)),
+            refined, tuned = _refine_params(lambda prm: viol(_rows(pts, len(prm)), prm),
                                             params, bounds, cfg.tol)
             params = list(tuned)
             worst = max(worst, refined)
+        prm = np.array([params], dtype=float)
+
+        def once(points):
+            return viol(_rows(points, 1), prm)[0]
+
         # shrinking moves points toward their centroid, which only vector
         # points support; packed function rows are replayed as they are
         if pts and np.ndim(pts[0]) == 1:
-            pts, at = _shrink_points(lambda cand: viol(cand, params), pts,
-                                     worst, cfg.tol)
+            pts, at = _shrink_points(once, pts, worst, cfg.tol)
         else:
-            at = viol(pts, params)
+            at = once(pts)
     witness = {name: _ser_point(p) for name, p in zip(names, pts)}
     witness.update({name: float(v) for name, v in zip(param_names, params)})
     witness["violation"] = float(at)
@@ -254,14 +303,15 @@ def check_geodesic(b, cfg):
         return _finish("geodesic", cfg, b.name, worst, samples, [pw, qw],
                        ("p", "q"), [s_at], ("t",))
 
-    def viol_full(pts, params):
-        a, c = pts
-        s, t = params
-        lhs = _dist1(b, _eval1(b, a, c, s), _eval1(b, a, c, t))
-        return abs(lhs - abs(t - s) * _dist1(b, a, c))
-
     return _finish("geodesic", cfg, b.name, worst, samples, [pw, qw], ("p", "q"),
-                   [s_at, t_at], ("s", "t"), viol_full)
+                   [s_at, t_at], ("s", "t"), functools.partial(_geodesic_viol, b))
+
+
+def _geodesic_viol(b, points, params):
+    p, q = points
+    s, t = params.T
+    path = b.path(p, q)
+    return np.abs(b.dist(path(s), path(t)) - np.abs(t - s) * b.dist(p, q))
 
 
 def check_conical(b, cfg):
@@ -287,14 +337,15 @@ def check_conical(b, cfg):
 
     pts = [P[k_at], Q[k_at], P2[k_at], Q2[k_at]]
 
-    def viol_full(points, params):
-        p, q, p2, q2 = points
-        (t,) = params
-        lhs = _dist1(b, _eval1(b, p, q, t), _eval1(b, p2, q2, t))
-        return lhs - ((1.0 - t) * _dist1(b, p, p2) + t * _dist1(b, q, q2))
+    return _finish("conical", cfg, b.name, worst, samples, pts, ("p", "q", "p2", "q2"),
+                   [t_at], ("t",), functools.partial(_conical_viol, b))
 
-    return _finish("conical", cfg, b.name, worst, samples, pts,
-                   ("p", "q", "p2", "q2"), [t_at], ("t",), viol_full)
+
+def _conical_viol(b, points, params):
+    p, q, p2, q2 = points
+    t = params[:, 0]
+    lhs = b.dist(b.path(p, q)(t), b.path(p2, q2)(t))
+    return lhs - ((1.0 - t) * b.dist(p, p2) + t * b.dist(q, q2))
 
 
 def check_convex(b, cfg, tau_steps=(1.0 / 64.0, 1.0 / 128.0)):
@@ -332,19 +383,25 @@ def check_convex(b, cfg, tau_steps=(1.0 / 64.0, 1.0 / 128.0)):
 
     pts = [P[k_at], Q[k_at], P2[k_at], Q2[k_at]]
 
-    def viol_full(points, params):
-        p, q, p2, q2 = points
-        t, tau = params
-        if t - tau < 0.0 or t + tau > 1.0 or tau <= 0.0:
-            return -math.inf
+    return _finish("convex", cfg, b.name, worst, samples, pts, ("p", "q", "p2", "q2"),
+                   [t_at, tau_at], ("t", "tau"), functools.partial(_convex_viol, b))
+
+
+def _convex_viol(b, points, params):
+    t, tau = params.T
+    # a (t, tau) whose stencil leaves [0, 1] is infeasible
+    ok = ~((t - tau < 0.0) | (t + tau > 1.0) | (tau <= 0.0))
+    out = np.full(len(params), -math.inf)
+    if ok.any():
+        p, q, p2, q2 = (x[ok] for x in points)
+        t, tau = t[ok], tau[ok]
+        path, path2 = b.path(p, q), b.path(p2, q2)
 
         def gap(tt):
-            return _dist1(b, _eval1(b, p, q, tt), _eval1(b, p2, q2, tt))
+            return b.dist(path(tt), path2(tt))
 
-        return 2.0 * gap(t) - gap(t - tau) - gap(t + tau)
-
-    return _finish("convex", cfg, b.name, worst, samples, pts,
-                   ("p", "q", "p2", "q2"), [t_at, tau_at], ("t", "tau"), viol_full)
+        out[ok] = 2.0 * gap(t) - gap(t - tau) - gap(t + tau)
+    return out
 
 
 def check_consistent(b, cfg):
@@ -357,12 +414,7 @@ def check_consistent(b, cfg):
     s1, s2 = s[:, 0], s[:, 1]
     u = rng.random(cfg.tuples)
 
-    path = b.path(P, Q)
-    A = path(s1)
-    B = path(s2)
-    lhs = b.eval(A, B, u)
-    rhs = path((1.0 - u) * s1 + u * s2)
-    v = np.atleast_1d(np.asarray(b.dist(lhs, rhs), dtype=float))
+    v = _defects(b, P, Q, s1, s2, u)
     k = _argworst(v)
     worst = float(v[k])
     samples = cfg.tuples
@@ -370,12 +422,21 @@ def check_consistent(b, cfg):
     pts = [P[k], Q[k]]
     params = [float(s1[k]), float(s2[k]), float(u[k])]
 
-    def viol_full(points, prm):
-        a1, a2, uu = prm
-        return consistency_defect(b, *points, min(a1, a2), max(a1, a2), uu)
-
     return _finish("consistent", cfg, b.name, worst, samples, pts, ("p", "q"),
-                   params, ("s1", "s2", "u"), viol_full)
+                   params, ("s1", "s2", "u"), functools.partial(_consistent_viol, b))
+
+
+def _defects(b, P, Q, s1, s2, u):
+    # the selection between the points at s1 and s2 of the geodesic P -> Q,
+    # taken at u, against that geodesic at the matching parameter
+    path = b.path(P, Q)
+    sub = b.eval(path(s1), path(s2), u)
+    return np.atleast_1d(np.asarray(b.dist(sub, path((1.0 - u) * s1 + u * s2)), dtype=float))
+
+
+def _consistent_viol(b, points, params):
+    a1, a2, u = params.T
+    return _defects(b, *points, np.minimum(a1, a2), np.maximum(a1, a2), u)
 
 
 def consistency_defect(b, p, q, s1, s2, u):
@@ -384,13 +445,8 @@ def consistency_defect(b, p, q, s1, s2, u):
     Points are what the bicombing's batches hold per row: ``(2,)`` planar
     points, or packed ``(2, K)`` rows for a function-space bicombing.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    ga = _eval1(b, p, q, s1)
-    gb = _eval1(b, p, q, s2)
-    sub = _eval1(b, ga, gb, u)
-    ref = _eval1(b, p, q, (1.0 - u) * s1 + u * s2)
-    return _dist1(b, sub, ref)
+    P, Q = _rows([p, q], 1)
+    return float(_defects(b, P, Q, *np.array([[s1], [s2], [u]], dtype=float))[0])
 
 
 def check_reversible(b, cfg):
@@ -411,13 +467,14 @@ def check_reversible(b, cfg):
 
     pts = [P[k_at], Q[k_at]]
 
-    def viol_full(points, params):
-        p, q = points
-        (t,) = params
-        return _dist1(b, _eval1(b, p, q, t), _eval1(b, q, p, 1.0 - t))
-
     return _finish("reversible", cfg, b.name, worst, samples, pts, ("p", "q"),
-                   [t_at], ("t",), viol_full)
+                   [t_at], ("t",), functools.partial(_reversible_viol, b))
+
+
+def _reversible_viol(b, points, params):
+    p, q = points
+    t = params[:, 0]
+    return b.dist(b.path(p, q)(t), b.path(q, p)(1.0 - t))
 
 
 def check_midpoint_property(b, cfg):
@@ -430,12 +487,13 @@ def check_midpoint_property(b, cfg):
     worst = float(v[k])
     pts = [P[k], Q[k]]
 
-    def viol_full(points, params):
-        p, q = points
-        return _dist1(b, _eval1(b, p, q, 0.5), _eval1(b, q, p, 0.5))
-
     return _finish("midpoint_property", cfg, b.name, worst, cfg.tuples, pts,
-                   ("p", "q"), [], (), viol_full)
+                   ("p", "q"), [], (), functools.partial(_midpoint_viol, b))
+
+
+def _midpoint_viol(b, points, params):
+    p, q = points
+    return b.dist(b.eval(p, q, 0.5), b.eval(q, p, 0.5))
 
 
 def check_local_linearity(b, center, r, cfg):
@@ -475,17 +533,18 @@ def check_local_linearity(b, center, r, cfg):
 
     pts = [P[k_at], Q[k_at]]
 
-    def viol_full(points, params):
-        p, q = points
-        (t,) = params
-        return _dist1(b, _eval1(b, p, q, t), linear(p, q, t))
-
     report = _finish("linear", cfg, b.name, worst, samples, pts, ("p", "q"),
-                     [t_at], ("t",), viol_full)
+                     [t_at], ("t",), functools.partial(_linear_viol, b))
     if report.witness is not None:
         report.witness["center"] = _ser_point(center)
         report.witness["radius"] = r
     return report
+
+
+def _linear_viol(b, points, params):
+    p, q = points
+    t = params[:, 0]
+    return b.dist(b.path(p, q)(t), linear(p, q, t))
 
 
 @dataclass(frozen=True)
@@ -514,9 +573,11 @@ def mt_set(space, p, q, t, resolution=501, tol=1e-6):
     Returns one :class:`MtCluster` in a list (the set is convex). Its points
     run from end to end, both included, at most one cell apart of a
     ``resolution``-point grid over the bounding box of the two balls.
-    ``tol`` is a postcondition: ``RuntimeError`` if a point's absolute
-    residual, computed with :func:`spaces.dist`, exceeds it. ``ValueError``
-    unless ``p``, ``q`` are finite ``(2,)`` points and ``0 <= t <= 1``.
+    ``tol`` is a postcondition: ``RuntimeError`` if a point's residual,
+    computed with :func:`spaces.dist`, exceeds ``tol`` plus 8 ulps of the
+    largest coordinate of ``p`` and ``q`` (the rounding of the points and
+    distances themselves, up to 4 ulps). ``ValueError`` unless ``p``, ``q``
+    are finite ``(2,)`` points and ``0 <= t <= 1``.
     """
     p = _mt_point(p, "p")
     q = _mt_point(q, "q")
@@ -544,9 +605,11 @@ def mt_set(space, p, q, t, resolution=501, tol=1e-6):
 
     resid = np.maximum(np.abs(spaces.dist(space, points, p) - r1),
                        np.abs(spaces.dist(space, points, q) - r2))
-    if not (resid <= tol).all():
+    limit = tol + 8.0 * float(np.spacing(max(np.max(np.abs(p)), np.max(np.abs(q)))))
+    if not (resid <= limit).all():
         raise RuntimeError(f"in-between set of {p.tolist()}, {q.tolist()} at t={t!r}: "
-                           f"residual {float(np.max(resid))!r} exceeds tol {tol!r}")
+                           f"residual {float(np.max(resid))!r} exceeds tol {tol!r} "
+                           f"(with rounding, {limit!r})")
     k = int(np.argmin(resid))
     return [MtCluster(points=points, representative=points[k].copy(),
                       residual=float(resid[k]))]

@@ -14,6 +14,22 @@ def test_suite_spec_validation(tmp_path):
         SuiteSpec(name="thresholds", tol=0.0)
 
 
+@pytest.mark.parametrize("field, value", [("tol", float("inf")), ("tol", float("nan")),
+                                          ("tuples", True), ("tuples", 2.5)])
+def test_suite_spec_rejects_non_finite_tol_and_non_integer_tuples(field, value):
+    with pytest.raises(ValueError):
+        SuiteSpec(name="thresholds", **{field: value})
+
+
+def test_run_with_infinite_tol_writes_nothing(tmp_path, capsys):
+    # an infinite tol passed every check and wrote Infinity into the reports
+    out = tmp_path / "reports"
+    assert main(["run", "--suite", "counterexample_sigma_tilde", "--tuples", "50",
+                 "--tol", "inf", "--out", str(out)]) != 0
+    assert "tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_thresholds_suite(tmp_path):
     spec = SuiteSpec(name="thresholds", out_dir=tmp_path)
     assert run_suite(spec) == 0

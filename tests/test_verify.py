@@ -31,6 +31,16 @@ def test_sample_config_validation():
         SampleConfig(tol=0.0)
 
 
+@pytest.mark.parametrize("field, value", [("tol", math.inf), ("tol", math.nan),
+                                          ("tuples", True), ("tuples", 2.5),
+                                          ("t_grid", 3.5), ("t_grid", True),
+                                          ("seed", True), ("seed", 2.5), ("seed", -1)])
+def test_sample_config_rejects_non_finite_tol_and_non_integer_counts(field, value):
+    with pytest.raises(ValueError):
+        SampleConfig(**{field: value})
+    assert SampleConfig(tuples=np.int64(5), t_grid=np.int32(3)).tuples == 5
+
+
 def test_linear_passes_exactly():
     lb = linear_bicombing("linf")
     rep = check_geodesic(lb, CFG)
@@ -312,6 +322,19 @@ def test_mt_set_hybrid_edge_corner_and_arc():
         lo, hi, cluster = _mt_ends("hybrid", p, q, t)
         assert float(np.max(hi - lo)) <= 1e-15
         assert np.max(np.abs(cluster.representative - target)) <= 1e-15
+
+
+def test_mt_set_far_from_the_origin_returns_the_exact_segment():
+    # the residual here is float spacing near 1e12 (about 1.2e-4), far above
+    # the absolute tol; the postcondition allows a few ulps of the coordinates
+    (cluster,) = mt_set("linf", (1e12, 0.0), (1e12 + 3.0, 1.0), 0.3)
+    pts = cluster.points
+    # the edge x = 1e12 + 0.9, |y| <= 0.9, up to the rounding of the coordinates
+    assert (np.abs(pts[:, 0] - (1e12 + 0.9)) <= 2 * np.spacing(1e12)).all()
+    assert pts[0, 1] == pytest.approx(-0.9, abs=1e-12)
+    assert pts[-1, 1] == pytest.approx(0.9, abs=1e-12)
+    assert np.all(np.diff(pts[:, 1]) > 0)
+    assert cluster.residual <= 1e-6 + 8 * np.spacing(1e12 + 3.0)
 
 
 def test_mt_set_wrong_face_fails_loudly(monkeypatch):
