@@ -59,18 +59,6 @@ def _cfg(spec, tuples=None):
                                t_grid=33, tol=spec.tol)
 
 
-def _expected(delta):
-    """:data:`verify.EXPECTED_MATRIX` at bulge parameter ``delta``; without a
-    bulge ``sigma_delta`` is consistent and ``sigma_tilde`` reversible and
-    consistent."""
-    expected = {row: dict(props) for row, props in verify.EXPECTED_MATRIX.items()}
-    if delta == 0.0:
-        expected["sigma_delta"]["consistent"] = True
-        expected["sigma_tilde"]["reversible"] = True
-        expected["sigma_tilde"]["consistent"] = True
-    return expected
-
-
 def _merge(*parts):
     """Combine ``(observed, expected, files, extras)`` parts in order; where
     two parts give the same (row, property) or file, the first one stays."""
@@ -96,7 +84,7 @@ def _checks(spec, rows, cfg=None):
                      for prop in verify.MATRIX_CHECKS[row]} for row in rows}
     observed = {row: {prop: rep.passed for prop, rep in props.items()}
                 for row, props in reports.items()}
-    expected = _expected(spec.delta)
+    expected = verify.expected_matrix(spec.delta)
     files = [(f"{row}.{prop}", rep)
              for row, props in reports.items() for prop, rep in props.items()]
     return observed, {row: expected[row] for row in rows}, files, {}
@@ -144,7 +132,7 @@ def _reversibilized(spec):
 def _suite_reversibilize(spec):
     base = verify.check_reversible(sigma_tilde_bicombing(spec.delta),
                                    _cfg(spec, tuples=min(spec.tuples, 2000)))
-    expected = _expected(spec.delta)["sigma_tilde"]["reversible"]
+    expected = verify.expected_matrix(spec.delta)["sigma_tilde"]["reversible"]
     return _merge(({"sigma_tilde": {"reversible": base.passed}},
                    {"sigma_tilde": {"reversible": expected}},
                    [("sigma_tilde.reversible", base)], {}), _reversibilized(spec))

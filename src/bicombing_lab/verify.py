@@ -6,6 +6,12 @@ the property's defining inequality. Failures come back as reports carrying a
 counterexample witness, never as exceptions; checks are falsification at a
 fixed tolerance, not proof.
 
+Each inequality is written once, as a property ``make(b, points)`` (``_conical``
+and its siblings) that does the parameter-free work on a batch of point rows
+and returns the violation as a function of the parameters. The scan calls it
+with scalar grid values on the whole sample; refinement and shrinking call it
+with one column per parameter on the witness tuple repeated to ``m`` rows.
+
 The module also hosts the rigidity probes: ``mt_set`` computes the metric
 in-between set of a point pair in closed form from the face of the unit
 sphere its direction lies in (a point for an extreme direction, a segment
@@ -116,7 +122,30 @@ def _rows(points, m):
 
 
 def _grid(cfg):
-    return np.linspace(0.0, 1.0, cfg.t_grid)
+    return np.linspace(0.0, 1.0, cfg.t_grid).tolist()
+
+
+def _draw(sample, cfg, count):
+    """``count`` batches of ``cfg.tuples`` points from the seeded stream, and
+    the stream for the draws that follow."""
+    rng = np.random.default_rng(cfg.seed)
+    return rng, [sample(rng, cfg.tuples) for _ in range(count)]
+
+
+def _memo(fn):
+    """``fn`` remembering its values at scalar arguments: a scan asks for the
+    same parameter many times, refinement for a new array at every call."""
+    seen = {}
+
+    def at(t):
+        if np.ndim(t):
+            return fn(t)
+        t = float(t)
+        if t not in seen:
+            seen[t] = fn(t)
+        return seen[t]
+
+    return at
 
 
 def _argworst(v):
@@ -134,6 +163,29 @@ def _outranks(v, worst):
     if not math.isfinite(worst):
         return False
     return not math.isfinite(v) or v > worst
+
+
+def _scan(f, cands, found=(None, 0, ())):
+    """``(worst, row, params)`` of the violation ``f(*params)`` over the
+    candidate parameter tuples, continuing from ``found``: :func:`_argworst`
+    picks the row of a candidate, :func:`_outranks` decides between them."""
+    worst, row, at = found
+    for params in cands:
+        v = np.atleast_1d(f(*params))
+        k = _argworst(v)
+        if _outranks(float(v[k]), worst):
+            worst, row, at = float(v[k]), k, params
+    return worst, row, at
+
+
+def _check(prop, b, cfg, make, points, names, param_names, cands):
+    """Report on the property ``make`` scanned on ``points`` over the
+    candidate parameter tuples, whose entries are scalars or per-row arrays;
+    refinement and shrinking reuse ``make`` on the witness row."""
+    worst, k, params = _scan(make(b, points), cands)
+    params = [v[k] if np.ndim(v) else v for v in params]
+    return _finish(prop, cfg, b, worst, cfg.tuples * len(cands), [p[k] for p in points],
+                   names, params, param_names, make)
 
 
 def _refine_params(viol, params, bounds, tol):
@@ -192,7 +244,8 @@ def _refine_params(viol, params, bounds, tol):
 
 def _shrink_points(viol_pts, pts, ref, tol):
     """Contract witness points toward their centroid while the violation stays
-    within tol/10 of the refined maximum; yields a smaller counterexample."""
+    within tol/10 of the refined maximum and above tol, so the smaller
+    counterexample still fails."""
     pts = [np.array(p, dtype=float) for p in pts]
     centroid = np.mean(np.stack(pts), axis=0)
     floor = ref - tol / 10.0
@@ -202,7 +255,8 @@ def _shrink_points(viol_pts, pts, ref, tol):
             mid = 0.5 * (good + hi)
             cand = [p.copy() for p in pts]
             cand[k] = pts[k] + mid * (centroid - pts[k])
-            if viol_pts(cand) >= floor:
+            v = viol_pts(cand)
+            if v >= floor and v > tol:
                 good = mid
             else:
                 hi = mid
@@ -229,23 +283,27 @@ def _guard(viol):
     return wrapped
 
 
-def _finish(prop, cfg, bicombing, worst, samples, pts, names, params, param_names,
-            viol=None):
+def _violation(make, b, points, params):
+    """The property ``make`` as a batched violation: ``points`` hold ``m``
+    rows each, ``params`` is ``(m, k)`` with one column per parameter."""
+    return make(b, points)(*params.T)
+
+
+def _finish(prop, cfg, b, worst, samples, pts, names, params, param_names, make=None):
     """Assemble a report; on failure refine the witness parameters, shrink the
     witness points and re-evaluate the violation they attain.
 
-    ``viol(points, params)`` is the batched violation: ``points`` holds the
-    tuple's points repeated to ``m`` rows, ``params`` is ``(m, k)`` and the
-    result ``(m,)``. A batch may raise ``ValueError`` for an infeasible
-    candidate, which is then rejected (see :func:`_guard`).
+    ``make`` is the property (see :func:`_violation`); a batch may raise
+    ``ValueError`` for an infeasible candidate, which is then rejected (see
+    :func:`_guard`). Without it the witness is reported as scanned.
     """
     if worst <= cfg.tol:
         return PropertyReport(prop, True, float(worst), None, int(samples),
-                              cfg.seed, cfg.tol, bicombing)
+                              cfg.seed, cfg.tol, b.name)
     params = [float(v) for v in params]
     at = worst
-    if viol is not None and math.isfinite(worst):
-        viol = _guard(viol)
+    if make is not None and math.isfinite(worst):
+        viol = _guard(functools.partial(_violation, make, b))
         if params:
             bounds = [(0.0, 1.0)] * len(params)
             refined, tuned = _refine_params(lambda prm: viol(_rows(pts, len(prm)), prm),
@@ -267,163 +325,83 @@ def _finish(prop, cfg, bicombing, worst, samples, pts, names, params, param_name
     witness.update({name: float(v) for name, v in zip(param_names, params)})
     witness["violation"] = float(at)
     return PropertyReport(prop, False, float(worst), witness, int(samples),
-                          cfg.seed, cfg.tol, bicombing)
+                          cfg.seed, cfg.tol, b.name)
+
+
+def _geodesic(b, points):
+    """Constant speed: ``|d(path(s), path(t)) - |t - s| d(p, q)|``. The
+    prepared path is also ``f.path``, for the endpoint identities."""
+    p, q = points
+    path, d = _memo(b.path(p, q)), b.dist(p, q)
+
+    def f(s, t):
+        return np.abs(b.dist(path(s), path(t)) - np.abs(t - s) * d)
+
+    f.path = path
+    return f
 
 
 def check_geodesic(b, cfg):
     """Endpoint identities plus constant speed along the parameter grid."""
-    rng = np.random.default_rng(cfg.seed)
-    P = b.sample(rng, cfg.tuples)
-    Q = b.sample(rng, cfg.tuples)
+    _, (P, Q) = _draw(b.sample, cfg, 2)
+    f = _geodesic(b, [P, Q])
+    # the endpoint identities are another inequality: scanned first, their
+    # witness is {p, q, t} and there is nothing to refine over
+    ends = _scan(lambda t: b.dist(f.path(t), Q if t else P), [(0.0,), (1.0,)])
     grid = _grid(cfg)
-    d = np.atleast_1d(np.asarray(b.dist(P, Q), dtype=float))
-    path = b.path(P, Q)
-    evals = [path(float(t)) for t in grid]
-
-    worst, k_at, s_at, t_at = None, 0, 0.0, 1.0
-
-    def note(v, s, t):
-        nonlocal worst, k_at, s_at, t_at
-        k = _argworst(v)
-        if _outranks(float(v[k]), worst):
-            worst, k_at, s_at, t_at = float(v[k]), k, float(s), float(t)
-
-    note(np.atleast_1d(b.dist(evals[0], P)), 0.0, 0.0)
-    note(np.atleast_1d(b.dist(evals[-1], Q)), 1.0, 1.0)
-    m = len(grid)
-    for i in range(m):
-        for j in range(i + 1, m):
-            gap = np.abs(np.atleast_1d(b.dist(evals[i], evals[j])) - (grid[j] - grid[i]) * d)
-            note(gap, grid[i], grid[j])
-    samples = cfg.tuples * (m * (m - 1) // 2 + 2)
-
-    pw, qw = P[k_at], Q[k_at]
-    if s_at == t_at:
-        # endpoint identity violation; there is nothing to refine over
-        return _finish("geodesic", cfg, b.name, worst, samples, [pw, qw],
-                       ("p", "q"), [s_at], ("t",))
-
-    return _finish("geodesic", cfg, b.name, worst, samples, [pw, qw], ("p", "q"),
-                   [s_at, t_at], ("s", "t"), functools.partial(_geodesic_viol, b))
+    pairs = [(s, t) for i, s in enumerate(grid) for t in grid[i + 1:]]
+    worst, k, params = _scan(f, pairs, ends)
+    samples = cfg.tuples * (len(pairs) + 2)
+    if len(params) == 1:
+        return _finish("geodesic", cfg, b, worst, samples, [P[k], Q[k]], ("p", "q"),
+                       params, ("t",))
+    return _finish("geodesic", cfg, b, worst, samples, [P[k], Q[k]], ("p", "q"),
+                   params, ("s", "t"), _geodesic)
 
 
-def _geodesic_viol(b, points, params):
-    p, q = points
-    s, t = params.T
-    path = b.path(p, q)
-    return np.abs(b.dist(path(s), path(t)) - np.abs(t - s) * b.dist(p, q))
+def _conical(b, points):
+    """``d(path(t), path2(t)) - ((1 - t) d(p, p2) + t d(q, q2))``."""
+    p, q, p2, q2 = points
+    path, path2 = b.path(p, q), b.path(p2, q2)
+    dp, dq = b.dist(p, p2), b.dist(q, q2)
+    return lambda t: b.dist(path(t), path2(t)) - ((1.0 - t) * dp + t * dq)
 
 
 def check_conical(b, cfg):
     """Gap between two selected geodesics never exceeds the endpoint mix."""
-    rng = np.random.default_rng(cfg.seed)
-    P = b.sample(rng, cfg.tuples)
-    Q = b.sample(rng, cfg.tuples)
-    P2 = b.sample(rng, cfg.tuples)
-    Q2 = b.sample(rng, cfg.tuples)
-    grid = _grid(cfg)
-    dp = np.atleast_1d(np.asarray(b.dist(P, P2), dtype=float))
-    dq = np.atleast_1d(np.asarray(b.dist(Q, Q2), dtype=float))
-    path, path2 = b.path(P, Q), b.path(P2, Q2)
-
-    worst, k_at, t_at = None, 0, 0.5
-    for t in grid:
-        lhs = np.atleast_1d(b.dist(path(float(t)), path2(float(t))))
-        v = lhs - ((1.0 - t) * dp + t * dq)
-        k = _argworst(v)
-        if _outranks(float(v[k]), worst):
-            worst, k_at, t_at = float(v[k]), k, float(t)
-    samples = cfg.tuples * len(grid)
-
-    pts = [P[k_at], Q[k_at], P2[k_at], Q2[k_at]]
-
-    return _finish("conical", cfg, b.name, worst, samples, pts, ("p", "q", "p2", "q2"),
-                   [t_at], ("t",), functools.partial(_conical_viol, b))
+    _, points = _draw(b.sample, cfg, 4)
+    return _check("conical", b, cfg, _conical, points, ("p", "q", "p2", "q2"), ("t",),
+                  [(t,) for t in _grid(cfg)])
 
 
-def _conical_viol(b, points, params):
+def _convex(b, points):
+    """Midpoint convexity of the gap ``g(t) = d(path(t), path2(t))``:
+    ``2 g(t) - g(t - tau) - g(t + tau)``, ``-inf`` (infeasible) where the
+    stencil leaves [0, 1] or ``tau <= 0``."""
     p, q, p2, q2 = points
-    t = params[:, 0]
-    lhs = b.dist(b.path(p, q)(t), b.path(p2, q2)(t))
-    return lhs - ((1.0 - t) * b.dist(p, p2) + t * b.dist(q, q2))
+    path, path2 = b.path(p, q), b.path(p2, q2)
+    gap = _memo(lambda t: b.dist(path(t), path2(t)))
+
+    def f(t, tau):
+        ok = (t - tau >= 0.0) & (t + tau <= 1.0) & (tau > 0.0)
+        # an infeasible row is evaluated at its clipped stencil and dropped
+        mid, lo, hi = gap(t), gap(np.maximum(t - tau, 0.0)), gap(np.minimum(t + tau, 1.0))
+        return np.where(ok, 2.0 * mid - lo - hi, -math.inf)
+
+    return f
 
 
 def check_convex(b, cfg, tau_steps=(1.0 / 64.0, 1.0 / 128.0)):
     """Two-sided midpoint criterion for convexity of the gap function."""
-    for tau in tau_steps:
-        if not 0.0 < tau < 0.5:
-            raise ValueError("tau steps must lie in (0, 1/2)")
-    rng = np.random.default_rng(cfg.seed)
-    P = b.sample(rng, cfg.tuples)
-    Q = b.sample(rng, cfg.tuples)
-    P2 = b.sample(rng, cfg.tuples)
-    Q2 = b.sample(rng, cfg.tuples)
-    grid = _grid(cfg)
-
-    triples = []
-    needed = set()
-    for t in grid[1:-1]:
-        for tau in tau_steps:
-            lo, hi = float(t - tau), float(t + tau)
-            if lo >= 0.0 and hi <= 1.0:
-                triples.append((float(t), float(tau)))
-                needed.update((float(t), lo, hi))
-    path, path2 = b.path(P, Q), b.path(P2, Q2)
-    fvals = {}
-    for t in sorted(needed):
-        fvals[t] = np.atleast_1d(b.dist(path(t), path2(t)))
-
-    worst, k_at, t_at, tau_at = None, 0, 0.5, tau_steps[0]
-    for t, tau in triples:
-        v = 2.0 * fvals[t] - fvals[t - tau] - fvals[t + tau]
-        k = _argworst(v)
-        if _outranks(float(v[k]), worst):
-            worst, k_at, t_at, tau_at = float(v[k]), k, t, tau
-    samples = cfg.tuples * len(triples)
-
-    pts = [P[k_at], Q[k_at], P2[k_at], Q2[k_at]]
-
-    return _finish("convex", cfg, b.name, worst, samples, pts, ("p", "q", "p2", "q2"),
-                   [t_at, tau_at], ("t", "tau"), functools.partial(_convex_viol, b))
-
-
-def _convex_viol(b, points, params):
-    t, tau = params.T
-    # a (t, tau) whose stencil leaves [0, 1] is infeasible
-    ok = ~((t - tau < 0.0) | (t + tau > 1.0) | (tau <= 0.0))
-    out = np.full(len(params), -math.inf)
-    if ok.any():
-        p, q, p2, q2 = (x[ok] for x in points)
-        t, tau = t[ok], tau[ok]
-        path, path2 = b.path(p, q), b.path(p2, q2)
-
-        def gap(tt):
-            return b.dist(path(tt), path2(tt))
-
-        out[ok] = 2.0 * gap(t) - gap(t - tau) - gap(t + tau)
-    return out
-
-
-def check_consistent(b, cfg):
-    """Reparametrization identity: the selection between two points of a
-    selected geodesic reproduces the corresponding stretch of that geodesic."""
-    rng = np.random.default_rng(cfg.seed)
-    P = b.sample(rng, cfg.tuples)
-    Q = b.sample(rng, cfg.tuples)
-    s = np.sort(rng.random((cfg.tuples, 2)), axis=1)
-    s1, s2 = s[:, 0], s[:, 1]
-    u = rng.random(cfg.tuples)
-
-    v = _defects(b, P, Q, s1, s2, u)
-    k = _argworst(v)
-    worst = float(v[k])
-    samples = cfg.tuples
-
-    pts = [P[k], Q[k]]
-    params = [float(s1[k]), float(s2[k]), float(u[k])]
-
-    return _finish("consistent", cfg, b.name, worst, samples, pts, ("p", "q"),
-                   params, ("s1", "s2", "u"), functools.partial(_consistent_viol, b))
+    if not tau_steps or not all(0.0 < tau < 0.5 for tau in tau_steps):
+        raise ValueError("tau steps must lie in (0, 1/2)")
+    _, points = _draw(b.sample, cfg, 4)
+    cands = [(t, float(tau)) for t in _grid(cfg)[1:-1] for tau in tau_steps
+             if t - tau >= 0.0 and t + tau <= 1.0]
+    if not cands:
+        raise ValueError("no (t, tau) stencil of the parameter grid fits in [0, 1]")
+    return _check("convex", b, cfg, _convex, points, ("p", "q", "p2", "q2"), ("t", "tau"),
+                  cands)
 
 
 def _defects(b, P, Q, s1, s2, u):
@@ -434,9 +412,19 @@ def _defects(b, P, Q, s1, s2, u):
     return np.atleast_1d(np.asarray(b.dist(sub, path((1.0 - u) * s1 + u * s2)), dtype=float))
 
 
-def _consistent_viol(b, points, params):
-    a1, a2, u = params.T
-    return _defects(b, *points, np.minimum(a1, a2), np.maximum(a1, a2), u)
+def _consistent(b, points):
+    """The reparametrization defect, for parameters ``s1``, ``s2`` in either
+    order."""
+    return lambda a1, a2, u: _defects(b, *points, np.minimum(a1, a2), np.maximum(a1, a2), u)
+
+
+def check_consistent(b, cfg):
+    """Reparametrization identity: the selection between two points of a
+    selected geodesic reproduces the corresponding stretch of that geodesic."""
+    rng, points = _draw(b.sample, cfg, 2)
+    s = np.sort(rng.random((cfg.tuples, 2)), axis=1)
+    return _check("consistent", b, cfg, _consistent, points, ("p", "q"), ("s1", "s2", "u"),
+                  [(s[:, 0], s[:, 1], rng.random(cfg.tuples))])
 
 
 def consistency_defect(b, p, q, s1, s2, u):
@@ -449,51 +437,37 @@ def consistency_defect(b, p, q, s1, s2, u):
     return float(_defects(b, P, Q, *np.array([[s1], [s2], [u]], dtype=float))[0])
 
 
+def _reversible(b, points):
+    """``d(path_pq(t), path_qp(1 - t))``."""
+    p, q = points
+    forward, backward = b.path(p, q), b.path(q, p)
+    return lambda t: b.dist(forward(t), backward(1.0 - t))
+
+
 def check_reversible(b, cfg):
     """Forward and backward traversals agree at mirrored parameters."""
-    rng = np.random.default_rng(cfg.seed)
-    P = b.sample(rng, cfg.tuples)
-    Q = b.sample(rng, cfg.tuples)
-    grid = _grid(cfg)
-    forward, backward = b.path(P, Q), b.path(Q, P)
-
-    worst, k_at, t_at = None, 0, 0.5
-    for t in grid:
-        v = np.atleast_1d(b.dist(forward(float(t)), backward(float(1.0 - t))))
-        k = _argworst(v)
-        if _outranks(float(v[k]), worst):
-            worst, k_at, t_at = float(v[k]), k, float(t)
-    samples = cfg.tuples * len(grid)
-
-    pts = [P[k_at], Q[k_at]]
-
-    return _finish("reversible", cfg, b.name, worst, samples, pts, ("p", "q"),
-                   [t_at], ("t",), functools.partial(_reversible_viol, b))
+    _, points = _draw(b.sample, cfg, 2)
+    return _check("reversible", b, cfg, _reversible, points, ("p", "q"), ("t",),
+                  [(t,) for t in _grid(cfg)])
 
 
-def _reversible_viol(b, points, params):
+def _midpoint(b, points):
+    """``d(sigma(p, q, 1/2), sigma(q, p, 1/2))``, a function of no parameter."""
     p, q = points
-    t = params[:, 0]
-    return b.dist(b.path(p, q)(t), b.path(q, p)(1.0 - t))
+    return lambda: b.dist(b.eval(p, q, 0.5), b.eval(q, p, 0.5))
 
 
 def check_midpoint_property(b, cfg):
     """Both orientations agree at the half-way parameter."""
-    rng = np.random.default_rng(cfg.seed)
-    P = b.sample(rng, cfg.tuples)
-    Q = b.sample(rng, cfg.tuples)
-    v = np.atleast_1d(b.dist(b.eval(P, Q, 0.5), b.eval(Q, P, 0.5)))
-    k = _argworst(v)
-    worst = float(v[k])
-    pts = [P[k], Q[k]]
-
-    return _finish("midpoint_property", cfg, b.name, worst, cfg.tuples, pts,
-                   ("p", "q"), [], (), functools.partial(_midpoint_viol, b))
+    _, points = _draw(b.sample, cfg, 2)
+    return _check("midpoint_property", b, cfg, _midpoint, points, ("p", "q"), (), [()])
 
 
-def _midpoint_viol(b, points, params):
+def _linear(b, points):
+    """``d(path(t), (1 - t) p + t q)``."""
     p, q = points
-    return b.dist(b.eval(p, q, 0.5), b.eval(q, p, 0.5))
+    path = b.path(p, q)
+    return lambda t: b.dist(path(t), linear(p, q, t))
 
 
 def check_local_linearity(b, center, r, cfg):
@@ -517,34 +491,14 @@ def check_local_linearity(b, center, r, cfg):
                 f"ball of radius {2 * r:g} around {tuple(center)} leaves "
                 f"{b.domain.tag} near {tuple(bad)}")
     ballreg = spaces.Region.ball((float(center[0]), float(center[1])), r, b.space)
-    rng = np.random.default_rng(cfg.seed)
-    P = spaces.sample_region_rng(ballreg, rng, cfg.tuples)
-    Q = spaces.sample_region_rng(ballreg, rng, cfg.tuples)
-    grid = _grid(cfg)
-    path = b.path(P, Q)
-
-    worst, k_at, t_at = None, 0, 0.5
-    for t in grid:
-        v = np.atleast_1d(b.dist(path(float(t)), linear(P, Q, float(t))))
-        k = _argworst(v)
-        if _outranks(float(v[k]), worst):
-            worst, k_at, t_at = float(v[k]), k, float(t)
-    samples = cfg.tuples * len(grid)
-
-    pts = [P[k_at], Q[k_at]]
-
-    report = _finish("linear", cfg, b.name, worst, samples, pts, ("p", "q"),
-                     [t_at], ("t",), functools.partial(_linear_viol, b))
+    _, points = _draw(functools.partial(spaces.sample_region_rng, ballreg), cfg, 2)
+    report = _check("linear", b, cfg, _linear, points, ("p", "q"), ("t",),
+                    [(t,) for t in _grid(cfg)])
     if report.witness is not None:
         report.witness["center"] = _ser_point(center)
         report.witness["radius"] = r
     return report
 
-
-def _linear_viol(b, points, params):
-    p, q = points
-    t = params[:, 0]
-    return b.dist(b.path(p, q)(t), linear(p, q, t))
 
 
 @dataclass(frozen=True)
@@ -677,20 +631,8 @@ CHECKERS = {
     "midpoint_property": check_midpoint_property,
 }
 
-#: Which properties the full matrix computes per built-in bicombing.
-MATRIX_CHECKS = {
-    "sigma_delta": ("geodesic", "conical", "convex", "reversible",
-                    "midpoint_property", "consistent"),
-    "sigma_tilde": ("geodesic", "convex", "reversible", "consistent"),
-    "sigma_zero": ("consistent",),
-    "sigma_X1": ("geodesic", "conical", "reversible", "midpoint_property"),
-    "tau_X1": ("geodesic", "conical", "midpoint_property", "reversible"),
-    "funcspace_vertical": ("consistent",),
-    "funcspace_horizontal": ("consistent",),
-}
-
 #: Expected outcome of every matrix entry for any bulge parameter in
-#: (0, 1/64]; the zero-bulge row is listed separately.
+#: (0, 1/64]; :data:`ZERO_BULGE` lists the entries that differ at 0.
 EXPECTED_MATRIX = {
     "sigma_delta": {"geodesic": True, "conical": True, "convex": True,
                     "reversible": True, "midpoint_property": True,
@@ -705,6 +647,24 @@ EXPECTED_MATRIX = {
     "funcspace_vertical": {"consistent": True},
     "funcspace_horizontal": {"consistent": True},
 }
+
+#: The entries of :data:`EXPECTED_MATRIX` that change without a bulge:
+#: ``sigma_delta`` is then consistent and ``sigma_tilde`` reversible and
+#: consistent.
+ZERO_BULGE = {"sigma_delta": {"consistent": True},
+              "sigma_tilde": {"reversible": True, "consistent": True}}
+
+#: Which properties the full matrix computes per built-in bicombing.
+MATRIX_CHECKS = {row: tuple(props) for row, props in EXPECTED_MATRIX.items()}
+
+
+def expected_matrix(delta=DELTA_MAX):
+    """:data:`EXPECTED_MATRIX` at bulge parameter ``delta``."""
+    expected = {row: dict(props) for row, props in EXPECTED_MATRIX.items()}
+    if delta == 0.0:
+        for row, props in ZERO_BULGE.items():
+            expected[row].update(props)
+    return expected
 
 
 def builtin_bicombings(delta=DELTA_MAX):

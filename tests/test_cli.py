@@ -56,6 +56,17 @@ def test_sigma_delta_suite_zero_delta(tmp_path):
     assert run_suite(spec) == 0
 
 
+def test_sigma_tilde_suite_zero_delta(tmp_path):
+    # without a bulge sigma_tilde is also reversible and consistent, and the
+    # suite expects both (verify.ZERO_BULGE)
+    spec = SuiteSpec(name="counterexample_sigma_tilde", delta=0.0, tuples=400,
+                     out_dir=tmp_path)
+    assert run_suite(spec) == 0
+    summary = json.loads((tmp_path / "counterexample_sigma_tilde.summary.json").read_text())
+    assert summary["expected"]["sigma_tilde"] == {"geodesic": True, "convex": True,
+                                                  "reversible": True, "consistent": True}
+
+
 def test_tau_suite_golden_witness(tmp_path):
     spec = SuiteSpec(name="counterexample_tau_X1", tuples=400, out_dir=tmp_path)
     assert run_suite(spec) == 0

@@ -8,6 +8,7 @@ every checker's violation is row-wise, so a batch must also equal the stack
 of its 1-row calls, an infeasible row included.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -143,13 +144,13 @@ def test_batched_refinement_hits_the_sweep_cap():
 
 # every checker's batched violation: (function, points per tuple, parameters)
 VIOLATIONS = {
-    "geodesic": (verify._geodesic_viol, 2, 2),
-    "conical": (verify._conical_viol, 4, 1),
-    "convex": (verify._convex_viol, 4, 2),
-    "consistent": (verify._consistent_viol, 2, 3),
-    "reversible": (verify._reversible_viol, 2, 1),
-    "midpoint_property": (verify._midpoint_viol, 2, 0),
-    "linear": (verify._linear_viol, 2, 1),
+    "geodesic": (functools.partial(verify._violation, verify._geodesic), 2, 2),
+    "conical": (functools.partial(verify._violation, verify._conical), 4, 1),
+    "convex": (functools.partial(verify._violation, verify._convex), 4, 2),
+    "consistent": (functools.partial(verify._violation, verify._consistent), 2, 3),
+    "reversible": (functools.partial(verify._violation, verify._reversible), 2, 1),
+    "midpoint_property": (functools.partial(verify._violation, verify._midpoint), 2, 0),
+    "linear": (functools.partial(verify._violation, verify._linear), 2, 1),
 }
 
 
@@ -218,7 +219,7 @@ def test_consistency_defect_is_the_one_row_batch():
     rng = np.random.default_rng(3)
     P, Q = b.sample(rng, 5), b.sample(rng, 5)
     prm = rng.random((5, 3))
-    batch = verify._consistent_viol(b, [P, Q], prm)
+    batch = VIOLATIONS["consistent"][0](b, [P, Q], prm)
     for i in range(5):
         a1, a2, u = prm[i]
         assert verify.consistency_defect(b, P[i], Q[i], min(a1, a2), max(a1, a2), u) == batch[i]

@@ -62,6 +62,28 @@ def _nan_every_7th_row():
     return Bicombing("linear_nan7", base.space, base.domain, broken)
 
 
+@pytest.mark.parametrize("tau_steps", [(), (0.0,), (0.5,), (math.nan,), (1 / 64, 0.6)])
+def test_convex_rejects_bad_tau_steps(tau_steps):
+    with pytest.raises(ValueError, match=r"tau steps must lie in \(0, 1/2\)"):
+        check_convex(sigma_delta_bicombing(DELTA), CFG, tau_steps=tau_steps)
+
+
+def test_convex_rejects_a_grid_without_a_fitting_stencil():
+    # t_grid 4 has the interior points 1/3 and 2/3, and t +- 0.4 leaves [0, 1]
+    cfg = SampleConfig(seed=1, tuples=20, t_grid=4)
+    with pytest.raises(ValueError, match=r"no \(t, tau\) stencil"):
+        check_convex(sigma_delta_bicombing(DELTA), cfg, tau_steps=(0.4,))
+
+
+def test_a_failing_report_carries_a_failing_witness():
+    # the refined worst lies just above tol, where the shrink floor of
+    # tol/10 below it reaches under tol: shrinking must still keep it above
+    cfg = SampleConfig(seed=1, tuples=300, t_grid=9, tol=0.02)
+    rep = check_reversible(sigma_tilde_bicombing(), cfg)
+    assert not rep.passed and cfg.tol < rep.worst_violation < 1.1 * cfg.tol
+    assert rep.witness["violation"] > cfg.tol
+
+
 def test_non_finite_violations_fail_with_a_witness():
     # a NaN violation compares false against everything: unless the scan
     # ranks it explicitly, the check passes on whatever value it started from
