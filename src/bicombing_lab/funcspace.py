@@ -13,14 +13,16 @@ Both are consistent conical geodesic selections for the L1 distance, and they
 differ: averaging the square root function with the identity vertically or
 horizontally gives visibly different curves.
 
-The property engine works on *packed batches*: an ``(n, 2, K)`` float array
-whose rows ``[:, 0]`` and ``[:, 1]`` hold the ``xs`` and ``vs`` breakpoints of
-n functions, each row padded by repeating its ``(1, 1)`` endpoint. The batch
+The operations work on *packed batches*: an ``(n, 2, K)`` float array whose
+rows ``[:, 0]`` and ``[:, 1]`` hold the ``xs`` and ``vs`` breakpoints of n
+functions, each row padded by repeating its ``(1, 1)`` endpoint. The batch
 kernels (:func:`random_monotone_batch`, :func:`vertical_batch`,
 :func:`horizontal_batch`, :func:`l1_distance_batch`) run vectorized over rows
-and never build a :class:`MonotoneFn` per row. They perform the same float
-operations in the same order as the per-function functions, which stay as
-the reference: a kernel's row and the per-function result agree bit for bit.
+and never build a :class:`MonotoneFn` per row; they are the one
+implementation of each operation. The per-function functions
+(:func:`random_monotone_fn`, :func:`vertical_bicombing`,
+:func:`horizontal_bicombing`, :func:`l1_distance`) pack their arguments, call
+the kernel on one row and unpack the result.
 """
 
 from __future__ import annotations
@@ -89,22 +91,9 @@ def eval_fn(f, x):
 
 
 def l1_distance(f, g):
-    """Exact L1 distance between two piecewise-linear functions.
-
-    On the merged breakpoint grid the difference is linear per segment, so
-    each segment integrates in closed form, solving the crossing point
-    exactly where the difference changes sign.
-    """
-    xs = np.union1d(f.xs, g.xs)
-    h = np.interp(xs, f.xs, f.vs) - np.interp(xs, g.xs, g.vs)
-    w = np.diff(xs)
-    ha, hb = h[:-1], h[1:]
-    mean_abs = 0.5 * np.abs(ha + hb)
-    cross = (ha * hb) < 0.0
-    if cross.any():
-        num = ha[cross] * ha[cross] + hb[cross] * hb[cross]
-        mean_abs[cross] = num / (2.0 * np.abs(ha[cross] - hb[cross]))
-    return float(np.dot(mean_abs, w))
+    """Exact L1 distance between two piecewise-linear functions (one row of
+    :func:`l1_distance_batch`)."""
+    return float(l1_distance_batch(pack([f]), pack([g]))[0])
 
 
 def invert(f):
@@ -112,35 +101,24 @@ def invert(f):
     return MonotoneFn(f.vs, f.xs)
 
 
-def _combine(f, g, t):
-    xs = np.union1d(f.xs, g.xs)
-    vs = (1.0 - t) * np.interp(xs, f.xs, f.vs) + t * np.interp(xs, g.xs, g.vs)
-    # the exact endpoint values can round off by one ulp; pin them
-    vs[0] = 0.0
-    vs[-1] = 1.0
-    return MonotoneFn(xs, vs)
-
-
 def vertical_bicombing(f, g, t):
-    """Pointwise affine interpolation ``(1-t) f + t g``."""
+    """Pointwise affine interpolation ``(1-t) f + t g`` (one row of
+    :func:`vertical_batch`)."""
     if t == 0.0:
         return f
     if t == 1.0:
         return g
-    return _combine(f, g, t)
+    return unpack(vertical_batch(pack([f]), pack([g]), t)[0])
 
 
 def horizontal_bicombing(f, g, t):
-    """Horizontal interpolation: slide the graphs into each other sideways.
-
-    Equals inversion, vertical interpolation of the inverses, and inversion
-    back; exact on the piecewise-linear class.
-    """
+    """Horizontal interpolation: slide the graphs into each other sideways
+    (one row of :func:`horizontal_batch`)."""
     if t == 0.0:
         return f
     if t == 1.0:
         return g
-    return invert(_combine(invert(f), invert(g), t))
+    return unpack(horizontal_batch(pack([f]), pack([g]), t)[0])
 
 
 def sqrt_identity_interpolant(x, t):
@@ -154,14 +132,10 @@ def sqrt_identity_interpolant(x, t):
     return (-t + np.sqrt(4.0 * (1.0 - t) * x + t * t)) / (2.0 * (1.0 - t))
 
 
-def random_monotone_fn(rng, max_interior=6):
-    """Random strictly increasing piecewise-linear function on [0,1]."""
-    while True:
-        k = int(rng.integers(0, max_interior + 1))
-        xs = np.concatenate([[0.0], np.sort(rng.random(k)), [1.0]])
-        vs = np.concatenate([[0.0], np.sort(rng.random(k)), [1.0]])
-        if (np.diff(xs) > 1e-9).all() and (np.diff(vs) > 1e-9).all():
-            return MonotoneFn(xs, vs)
+def random_monotone_fn(rng):
+    """Random strictly increasing piecewise-linear function on [0,1] (one
+    draw of :func:`random_monotone_batch`)."""
+    return unpack(random_monotone_batch(rng, 1)[0])
 
 
 def to_text(f):
@@ -174,8 +148,7 @@ def to_text(f):
 
 def from_text(text):
     rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-    pairs = np.array([[float(a), float(b)] for a, b in rows])
-    return MonotoneFn(pairs[:, 0], pairs[:, 1])
+    return from_breakpoints([[float(a), float(b)] for a, b in rows])
 
 
 def pack(fns):
@@ -239,8 +212,8 @@ def _interp(x, j, xp, fp):
     breakpoint and otherwise ``(fp[j+1]-fp[j])/(xp[j+1]-xp[j])*(x-xp[j]) + fp[j]``.
     """
     j1 = np.minimum(j + 1, xp.shape[1] - 1)
-    xj, x1 = np.take_along_axis(xp, j, axis=1), np.take_along_axis(xp, j1, axis=1)
-    fj, f1 = np.take_along_axis(fp, j, axis=1), np.take_along_axis(fp, j1, axis=1)
+    r = np.arange(len(xp))[:, None]
+    xj, x1, fj, f1 = xp[r, j], xp[r, j1], fp[r, j], fp[r, j1]
     # on a breakpoint j1 may equal j; np.where discards that 0/0
     with np.errstate(divide="ignore", invalid="ignore"):
         inner = (f1 - fj) / (x1 - xj) * (x - xj) + fj
@@ -257,8 +230,8 @@ def _blocks(n):
 
 
 def vertical_batch(F, G, t):
-    """:func:`vertical_bicombing` row by row on packed batches; ``t`` is a
-    scalar or an ``(n,)`` array.
+    """Pointwise affine interpolation ``(1-t) f + t g`` row by row on packed
+    batches; ``t`` is a scalar or an ``(n,)`` array.
 
     Rows at ``t == 0`` and ``t == 1`` are copies of ``F`` and ``G``; any other
     row whose values fail to increase strictly raises ``ValueError``, as the
@@ -295,19 +268,22 @@ def _combine_block(F, G, t):
 
 
 def horizontal_batch(F, G, t):
-    """:func:`horizontal_bicombing` over packed batches: swap the coordinates,
-    combine vertically, swap back."""
+    """Horizontal interpolation over packed batches: swap the coordinates
+    (the exact inverse, see :func:`invert`), combine vertically, swap back."""
     F = np.asarray(F, dtype=float)[:, ::-1]
     G = np.asarray(G, dtype=float)[:, ::-1]
     return vertical_batch(F, G, t)[:, ::-1]
 
 
 def l1_distance_batch(F, G):
-    """:func:`l1_distance` row by row on packed batches, as an ``(n,)`` array.
+    """Exact L1 distance row by row on packed batches, as an ``(n,)`` array.
 
-    Everything but the final sum is vectorized. The sum stays ``np.dot`` on
-    each row's exact-length slice: the BLAS summation order depends on the
-    length, so a padded or batched sum would change the last bits.
+    On the merged breakpoint grid the difference is linear per segment, so
+    each segment integrates in closed form, solving the crossing point
+    exactly where the difference changes sign. Everything but the final sum
+    is vectorized. The sum stays ``np.dot`` on each row's exact-length slice:
+    the BLAS summation order depends on the length, so a padded or batched
+    sum would change the last bits.
     """
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -329,7 +305,7 @@ def _l1_block(F, G):
 
 
 def _spread(sorted_draws):
-    # the gap test of random_monotone_fn on [0, *draws, 1], in plain floats
+    # consecutive points of [0, *draws, 1] more than 1e-9 apart, in plain floats
     prev = 0.0
     for x in sorted_draws:
         if not x - prev > 1e-9:
@@ -339,11 +315,12 @@ def _spread(sorted_draws):
 
 
 def random_monotone_batch(rng, count):
-    """``count`` draws of :func:`random_monotone_fn` (at its default
-    ``max_interior``) as a packed batch.
+    """``count`` random strictly increasing piecewise-linear functions on
+    [0,1] as a packed batch.
 
-    Makes the same generator calls in the same order, so it yields the same
-    functions and leaves ``rng`` in the same state.
+    Each draw takes ``k`` uniform in 0..6, then ``k`` sorted uniform ``xs``
+    and ``k`` sorted uniform ``vs`` as interior breakpoints, and is drawn
+    again unless consecutive breakpoints are more than 1e-9 apart in both.
     """
     max_interior = 6
     width = max_interior + 2

@@ -687,11 +687,11 @@ def run_matrix(cfg, delta=DELTA_MAX):
             for row, props in MATRIX_CHECKS.items()}
 
 
-def matrix_deviations(reports, expected=None):
-    """Entries of the observed matrix that differ from the expected one."""
-    expected = EXPECTED_MATRIX if expected is None else expected
+def matrix_deviations(reports, delta=DELTA_MAX):
+    """Entries of the observed matrix that differ from the expected one at
+    bulge parameter ``delta``."""
     devs = []
-    for row, props in expected.items():
+    for row, props in expected_matrix(delta).items():
         for prop, want in props.items():
             got = reports[row][prop].passed
             if got != want:

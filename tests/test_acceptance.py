@@ -37,6 +37,16 @@ def test_criterion_1_pass_fail_matrix():
                f"deviations={deviations}, elapsed={elapsed:.1f}s")
 
 
+def test_pass_fail_matrix_without_bulge():
+    # at delta 0 sigma_delta is consistent and sigma_tilde reversible and
+    # consistent (verify.ZERO_BULGE); the deviations must follow delta
+    cfg = SampleConfig(seed=42, tuples=2000, t_grid=33, tol=1e-9)
+    reports = run_matrix(cfg, delta=0.0)
+    deviations = matrix_deviations(reports, delta=0.0)
+    assert not deviations, deviations
+    assert len(matrix_deviations(reports)) == 3
+
+
 def test_criterion_2_golden_midpoint_witness():
     fwd = tau_X1((-1.5, 0.5), (0.0, 0.5), 5.0 / 12.0)
     bwd = tau_X1((0.0, 0.5), (-1.5, 0.5), 7.0 / 12.0)

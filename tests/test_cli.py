@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bicombing_lab.cli import SuiteSpec, export_figure, main, run_suite
+from bicombing_lab.cli import SuiteSpec, _funcspace_extras, export_figure, main, run_suite
 
 
 def test_suite_spec_validation(tmp_path):
@@ -91,6 +91,29 @@ def test_all_suite_small(tmp_path):
     assert summary["deviations"] == []
     assert summary["observed"]["sigma_delta"]["consistent"] is False
     assert summary["observed"]["sigma_zero"]["consistent"] is True
+
+
+@pytest.mark.parametrize("seed, iso_err", [(42, 2.220446049250313e-16),
+                                            (0, 1.6653345369377348e-16)])
+def test_funcspace_extras_are_pinned(seed, iso_err):
+    observed, expected, files, extras = _funcspace_extras(SuiteSpec(name="funcspace_demo",
+                                                                    seed=seed))
+    assert observed == expected and files == []
+    assert extras == {"vertical_vs_horizontal_l1": 0.015465624298529603,
+                      "closed_form_max_error": 3.79802161260814e-06,
+                      "inversion_isometry_max_error": iso_err}
+
+
+def test_funcspace_suite_outputs_are_byte_stable(tmp_path):
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert run_suite(SuiteSpec(name="funcspace_demo", tuples=200, out_dir=out)) == 0
+        outputs.append({path.name: [line for line in path.read_bytes().splitlines()
+                                    if b'"elapsed_seconds"' not in line]
+                        for path in sorted(out.iterdir())})
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
 
 
 def test_deviation_names_the_property_and_exits_nonzero(tmp_path, capsys):

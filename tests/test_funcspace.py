@@ -17,6 +17,57 @@ def _quad_l1(f, g, n=200001):
     return float(np.sum((h[:-1] + h[1:]) * 0.5 * np.diff(xs)))
 
 
+# Per-function oracles: the arithmetic of each batch kernel written out for
+# one function at a time with numpy's own union1d and interp. The kernels must
+# reproduce them bit for bit.
+
+def _ref_l1(f, g):
+    xs = np.union1d(f.xs, g.xs)
+    h = np.interp(xs, f.xs, f.vs) - np.interp(xs, g.xs, g.vs)
+    w = np.diff(xs)
+    ha, hb = h[:-1], h[1:]
+    mean_abs = 0.5 * np.abs(ha + hb)
+    cross = (ha * hb) < 0.0
+    if cross.any():
+        num = ha[cross] * ha[cross] + hb[cross] * hb[cross]
+        mean_abs[cross] = num / (2.0 * np.abs(ha[cross] - hb[cross]))
+    return float(np.dot(mean_abs, w))
+
+
+def _ref_combine(f, g, t):
+    xs = np.union1d(f.xs, g.xs)
+    vs = (1.0 - t) * np.interp(xs, f.xs, f.vs) + t * np.interp(xs, g.xs, g.vs)
+    # the exact endpoint values can round off by one ulp; pin them
+    vs[0] = 0.0
+    vs[-1] = 1.0
+    return fs.MonotoneFn(xs, vs)
+
+
+def _ref_vertical(f, g, t):
+    if t == 0.0:
+        return f
+    if t == 1.0:
+        return g
+    return _ref_combine(f, g, t)
+
+
+def _ref_horizontal(f, g, t):
+    if t == 0.0:
+        return f
+    if t == 1.0:
+        return g
+    return fs.invert(_ref_combine(fs.invert(f), fs.invert(g), t))
+
+
+def _ref_random_fn(rng):
+    while True:
+        k = int(rng.integers(0, 7))
+        xs = np.concatenate([[0.0], np.sort(rng.random(k)), [1.0]])
+        vs = np.concatenate([[0.0], np.sort(rng.random(k)), [1.0]])
+        if (np.diff(xs) > 1e-9).all() and (np.diff(vs) > 1e-9).all():
+            return fs.MonotoneFn(xs, vs)
+
+
 @st.composite
 def monotone_fns(draw):
     k = draw(st.integers(0, 5))
@@ -178,14 +229,14 @@ def test_batch_kernels_match_the_per_function_reference(block_rows, monkeypatch)
     t[1::5] = 1.0
     t[2::5] = 0.5
     assert np.array_equal(fs.l1_distance_batch(F, G),
-                          [fs.l1_distance(f, g) for f, g in zip(fns, gns)])
-    for kernel, reference in ((fs.vertical_batch, fs.vertical_bicombing),
-                              (fs.horizontal_batch, fs.horizontal_bicombing)):
+                          [_ref_l1(f, g) for f, g in zip(fns, gns)])
+    for kernel, reference in ((fs.vertical_batch, _ref_vertical),
+                              (fs.horizontal_batch, _ref_horizontal)):
         out = kernel(F, G, t)
         refs = [reference(f, g, float(ti)) for f, g, ti in zip(fns, gns, t)]
         assert all(_same(fs.unpack(row), r) for row, r in zip(out, refs)), kernel.__name__
         assert np.array_equal(fs.l1_distance_batch(out, G),
-                              [fs.l1_distance(r, g) for r, g in zip(refs, gns)])
+                              [_ref_l1(r, g) for r, g in zip(refs, gns)])
         # a scalar parameter broadcasts over the rows
         half = kernel(F, G, 0.5)
         assert all(_same(fs.unpack(row), reference(f, g, 0.5))
@@ -200,8 +251,8 @@ def test_batch_combine_rejects_what_the_reference_rejects():
     f = fs.MonotoneFn([0.0, x, 1.0], [0.0, x, 1.0])
     g = fs.MonotoneFn([0.0, y, 1.0], [0.0, y, 1.0])
     F, G = fs.pack([fs.identity_fn(), f]), fs.pack([fs.identity_fn(), g])
-    for kernel, reference in ((fs.vertical_batch, fs.vertical_bicombing),
-                              (fs.horizontal_batch, fs.horizontal_bicombing)):
+    for kernel, reference in ((fs.vertical_batch, _ref_vertical),
+                              (fs.horizontal_batch, _ref_horizontal)):
         rejected = 0
         for t in np.linspace(0.01, 0.99, 99):
             try:
@@ -219,11 +270,43 @@ def test_batch_sampler_replays_the_per_function_stream():
     a = np.random.default_rng(5)
     b = np.random.default_rng(5)
     F = fs.random_monotone_batch(a, 400)
-    assert all(_same(fs.unpack(row), fs.random_monotone_fn(b)) for row in F)
+    assert all(_same(fs.unpack(row), _ref_random_fn(b)) for row in F)
     assert a.random() == b.random()
     # rows are padded by repeating the (1, 1) endpoint up to the longest row
     assert F.shape[2] == max(len(fs.unpack(row).xs) for row in F)
     assert np.all(F[:, :, -1] == 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monotone_fns(), monotone_fns(),
+       st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+def test_kernel_rows_equal_the_oracle(f, g, t):
+    F, G = fs.pack([f]), fs.pack([g])
+    assert fs.l1_distance_batch(F, G)[0] == _ref_l1(f, g)
+    for kernel, reference in ((fs.vertical_batch, _ref_vertical),
+                              (fs.horizontal_batch, _ref_horizontal)):
+        try:
+            want = reference(f, g, t)
+        except ValueError:
+            with pytest.raises(ValueError):
+                kernel(F, G, t)
+        else:
+            assert _same(fs.unpack(kernel(F, G, t)[0]), want), kernel.__name__
+
+
+def test_per_function_api_is_one_kernel_row():
+    rng = np.random.default_rng(8)
+    fns = [fs.random_monotone_fn(rng) for _ in range(40)] + [fs.sqrt_approx(256)]
+    gns = [fs.random_monotone_fn(rng) for _ in range(40)] + [fs.identity_fn()]
+    for f, g in zip(fns, gns):
+        t = float(rng.random())
+        assert fs.l1_distance(f, g) == _ref_l1(f, g)
+        assert _same(fs.vertical_bicombing(f, g, t), _ref_vertical(f, g, t))
+        assert _same(fs.horizontal_bicombing(f, g, t), _ref_horizontal(f, g, t))
+    a = np.random.default_rng(9)
+    b = np.random.default_rng(9)
+    assert all(_same(fs.random_monotone_fn(a), _ref_random_fn(b)) for _ in range(200))
+    assert a.random() == b.random()
 
 
 def test_pack_round_trip_and_unpack_validates():
