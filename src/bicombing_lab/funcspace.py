@@ -261,7 +261,8 @@ def _combine_block(F, G, t):
             w = min(src.shape[2], out.shape[2])
             out[ends] = 1.0
             out[ends, :, :w] = src[ends, :, :w]
-    flat = (np.diff(out[:, 1], axis=1) <= 0.0) & (out[:, 0, :-1] < 1.0)
+    # written as not-increasing, so a NaN value (a NaN t) is rejected too
+    flat = ~(np.diff(out[:, 1], axis=1) > 0.0) & (out[:, 0, :-1] < 1.0)
     if flat.any():
         raise ValueError("breakpoints must be strictly increasing in both coordinates")
     return out

@@ -11,6 +11,10 @@ and its siblings) that does the parameter-free work on a batch of point rows
 and returns the violation as a function of the parameters. The scan calls it
 with scalar grid values on the whole sample; refinement and shrinking call it
 with one column per parameter on the witness tuple repeated to ``m`` rows.
+Refinement scores a stretch of its coordinate-ascent schedule per batch,
+shrinking the ladder of midpoints the next :data:`_LADDER` bisection steps of
+a point can visit; both replay their acceptance rules over the batch in
+order, so the witnesses are those of trying one candidate at a time.
 
 The module also hosts the rigidity probes: ``mt_set`` computes the metric
 in-between set of a point pair in closed form from the face of the unit
@@ -242,43 +246,88 @@ def _refine_params(viol, params, bounds, tol):
             return best, tuple(params)
 
 
-def _shrink_points(viol_pts, pts, ref, tol):
+#: Bisection steps of one shrinking point scored per batch, a divisor of its
+#: 12 steps: the ``2**_LADDER - 1`` midpoints those steps can visit. Deeper
+#: ladders score rows the bisection never visits (depth 12 would be 4095).
+_LADDER = 4
+
+
+def _ladder(good, hi):
+    """The midpoints the next :data:`_LADDER` bisection steps from
+    ``(good, hi)`` can visit, as a heap: node ``i`` is bisected at
+    ``mids[i]``, its child ``2i + 1`` follows a rejection (``hi = mids[i]``)
+    and ``2i + 2`` an acceptance (``good = mids[i]``)."""
+    spans = [(good, hi)]
+    for i in range(2 ** (_LADDER - 1) - 1):
+        g, h = spans[i]
+        mid = 0.5 * (g + h)
+        spans += [(g, mid), (mid, h)]
+    return [0.5 * (g + h) for g, h in spans]
+
+
+def _shrink_points(viol, pts, prm, domain, ref, tol):
     """Contract witness points toward their centroid while the violation stays
     within tol/10 of the refined maximum and above tol, so the smaller
-    counterexample still fails."""
+    counterexample still fails.
+
+    Each point is bisected in 12 steps. ``viol`` is the batched violation
+    (see :func:`_violation`) and ``prm`` the witness parameters as one row.
+    One batch scores the ladder of the next :data:`_LADDER` steps (see
+    :func:`_ladder`), and the acceptance rule is replayed over it in order;
+    since the violation is row-wise, the steps are those of scoring one
+    midpoint at a time. Only rows whose moved point lies in ``domain`` go
+    into the batch; a visited midpoint the batch did not score (outside the
+    domain, or in a batch that raised ``ValueError``) gets its own guarded
+    1-row call, so the domain test decides how a row is evaluated, never its
+    value.
+    """
     pts = [np.array(p, dtype=float) for p in pts]
     centroid = np.mean(np.stack(pts), axis=0)
     floor = ref - tol / 10.0
+    guarded = _guard(viol)
     for k in range(len(pts)):
         good, hi = 0.0, 1.0
-        for _ in range(12):
-            mid = 0.5 * (good + hi)
-            cand = [p.copy() for p in pts]
-            cand[k] = pts[k] + mid * (centroid - pts[k])
-            v = viol_pts(cand)
-            if v >= floor and v > tol:
-                good = mid
-            else:
-                hi = mid
+        for _ in range(12 // _LADDER):
+            mids = _ladder(good, hi)
+            moved = pts[k] + np.array(mids)[:, None] * (centroid - pts[k])
+            inside = np.flatnonzero(spaces.contains(domain, moved, spaces.DEFAULT_TOL))
+            scored = {}
+            if len(inside):
+                rows = _rows(pts, len(inside))
+                rows[k] = moved[inside]
+                try:
+                    scored = dict(zip(inside.tolist(),
+                                      viol(rows, np.repeat(prm, len(inside), axis=0))))
+                except ValueError:
+                    pass
+            i = 0
+            for _ in range(_LADDER):
+                if i in scored:
+                    v = scored[i]
+                else:
+                    cand = list(pts)
+                    cand[k] = moved[i]
+                    v = guarded(_rows(cand, 1), prm)[0]
+                if v >= floor and v > tol:
+                    good, i = mids[i], 2 * i + 2
+                else:
+                    hi, i = mids[i], 2 * i + 1
         pts[k] = pts[k] + good * (centroid - pts[k])
-    return pts, viol_pts(pts)
+    return pts
 
 
 def _guard(viol):
     """``viol`` with an infeasible candidate scored ``-inf``: a batch that
-    raises ``ValueError`` is replayed row by row, and a row that raises on
-    its own is ``-inf``."""
-    def one(points, params, i):
-        try:
-            return viol([p[i:i + 1] for p in points], params[i:i + 1])[0]
-        except ValueError:
-            return -math.inf
-
+    raises ``ValueError`` is replayed row by row, and a 1-row batch that
+    raises is ``-inf``."""
     def wrapped(points, params):
         try:
             return np.asarray(viol(points, params), dtype=float)
         except ValueError:
-            return np.array([one(points, params, i) for i in range(len(params))])
+            if len(params) == 1:
+                return np.array([-math.inf])
+            return np.concatenate([wrapped([p[i:i + 1] for p in points], params[i:i + 1])
+                                   for i in range(len(params))])
 
     return wrapped
 
@@ -303,7 +352,8 @@ def _finish(prop, cfg, b, worst, samples, pts, names, params, param_names, make=
     params = [float(v) for v in params]
     at = worst
     if make is not None and math.isfinite(worst):
-        viol = _guard(functools.partial(_violation, make, b))
+        raw = functools.partial(_violation, make, b)
+        viol = _guard(raw)
         if params:
             bounds = [(0.0, 1.0)] * len(params)
             refined, tuned = _refine_params(lambda prm: viol(_rows(pts, len(prm)), prm),
@@ -311,16 +361,11 @@ def _finish(prop, cfg, b, worst, samples, pts, names, params, param_names, make=
             params = list(tuned)
             worst = max(worst, refined)
         prm = np.array([params], dtype=float)
-
-        def once(points):
-            return viol(_rows(points, 1), prm)[0]
-
         # shrinking moves points toward their centroid, which only vector
         # points support; packed function rows are replayed as they are
         if pts and np.ndim(pts[0]) == 1:
-            pts, at = _shrink_points(once, pts, worst, cfg.tol)
-        else:
-            at = once(pts)
+            pts = _shrink_points(raw, pts, prm, b.domain, worst, cfg.tol)
+        at = viol(_rows(pts, 1), prm)[0]
     witness = {name: _ser_point(p) for name, p in zip(names, pts)}
     witness.update({name: float(v) for name, v in zip(param_names, params)})
     witness["violation"] = float(at)

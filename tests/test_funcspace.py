@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -264,6 +265,20 @@ def test_batch_combine_rejects_what_the_reference_rejects():
             else:
                 kernel(F, G, float(t))
         assert 0 < rejected < 99, kernel.__name__
+
+
+def test_batch_combine_rejects_a_nan_parameter():
+    # NaN compares false with everything, so only a not-increasing test
+    # catches the NaN values it makes; the per-function API raises as well
+    F, G = fs.pack([fs.sqrt_approx(4)]), fs.pack([fs.identity_fn()])
+    for kernel, per_function in ((fs.vertical_batch, fs.vertical_bicombing),
+                                 (fs.horizontal_batch, fs.horizontal_bicombing)):
+        with pytest.raises(ValueError):
+            kernel(F, G, math.nan)
+        with pytest.raises(ValueError):
+            kernel(np.concatenate([F, F]), np.concatenate([G, G]), np.array([0.5, math.nan]))
+        with pytest.raises(ValueError):
+            per_function(fs.sqrt_approx(4), fs.identity_fn(), math.nan)
 
 
 def test_batch_sampler_replays_the_per_function_stream():

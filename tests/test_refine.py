@@ -192,14 +192,23 @@ def test_a_batch_equals_its_one_row_calls(row, prop):
         for pts in points:
             pts[3] = bad
 
+    raised = []
+
     def viol(pts, prm):
-        return fn(b, pts, prm)
+        try:
+            return fn(b, pts, prm)
+        except ValueError:
+            raised.append(len(prm))
+            raise
 
     guarded = verify._guard(viol)
     got = guarded(points, params)
     rows = [guarded([p[i:i + 1] for p in points], params[i:i + 1]) for i in range(m)]
     assert all(r.shape == (1,) for r in rows)
     assert np.array_equal(got, np.concatenate(rows), equal_nan=True)
+    # the batch raises once, then the infeasible row once in its replay and
+    # once as its own 1-row batch, which is scored without a second try
+    assert raised == ([m, 1, 1] if bad is not None else [])
     if bad is not None:
         with pytest.raises(ValueError):
             viol(points, params)

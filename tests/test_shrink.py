@@ -1,0 +1,163 @@
+"""Batched witness shrinking against the one-midpoint-at-a-time bisection.
+
+``verify._shrink_points`` scores the midpoints the next ``_LADDER`` bisection
+steps of a point can visit in one batch and replays the acceptance rule over
+them. The sequential bisection it replaced is kept here as the reference:
+both must shrink a witness to the same points bit for bit, also where ladder
+rows leave the domain (scored by their own 1-row calls) and where a batch of
+rows inside the domain still raises.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from bicombing_lab import spaces, verify
+from bicombing_lab.bicombings import (Bicombing, linear, sigma_delta_bicombing,
+                                      tau_X1_bicombing)
+from bicombing_lab.verify import CHECKERS, SampleConfig
+
+
+def sequential_shrink(viol_pts, pts, ref, tol):
+    """The reference bisection: 12 steps per point, one
+    ``viol_pts(points) -> float`` call per step. Returns ``(points,
+    violation)``."""
+    pts = [np.array(p, dtype=float) for p in pts]
+    centroid = np.mean(np.stack(pts), axis=0)
+    floor = ref - tol / 10.0
+    for k in range(len(pts)):
+        good, hi = 0.0, 1.0
+        for _ in range(12):
+            mid = 0.5 * (good + hi)
+            cand = [p.copy() for p in pts]
+            cand[k] = pts[k] + mid * (centroid - pts[k])
+            v = viol_pts(cand)
+            if v >= floor and v > tol:
+                good = mid
+            else:
+                hi = mid
+        pts[k] = pts[k] + good * (centroid - pts[k])
+    return pts, viol_pts(pts)
+
+
+def reference(viol, pts, prm, domain, ref, tol):
+    """:func:`sequential_shrink` in the signature of ``verify._shrink_points``,
+    each step a guarded 1-row call."""
+    guarded = verify._guard(viol)
+    return sequential_shrink(lambda cand: guarded(verify._rows(cand, 1), prm)[0],
+                             pts, ref, tol)[0]
+
+
+class Calls:
+    """A batched violation that records each call's row count, whether every
+    moved point lay in ``domain`` and what it raised."""
+
+    def __init__(self, viol, domain):
+        self.viol, self.domain, self.log = viol, domain, []
+
+    def __call__(self, points, params):
+        inside = all(np.all(spaces.contains(self.domain, p, spaces.DEFAULT_TOL))
+                     for p in points)
+        try:
+            out = self.viol(points, params)
+        except ValueError as exc:
+            self.log.append((len(params), inside, str(exc)))
+            raise
+        self.log.append((len(params), inside, None))
+        return out
+
+
+def both(viol, pts, prm, domain, ref, tol):
+    """The batched and the reference shrink of one witness, and the calls the
+    batched one made."""
+    calls = Calls(viol, domain)
+    got = verify._shrink_points(calls, pts, prm, domain, ref, tol)
+    want = reference(viol, pts, prm, domain, ref, tol)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    return got, calls.log
+
+
+BUILT = verify.builtin_bicombings()
+FAILURES = [(row, prop) for row, props in verify.EXPECTED_MATRIX.items()
+            for prop, want in props.items() if not want]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("row, prop", FAILURES)
+def test_expected_failures_shrink_as_the_sequential_bisection(monkeypatch, row, prop, seed):
+    cfg = SampleConfig(seed=seed, tuples=200)
+    got = CHECKERS[prop](BUILT[row], cfg)
+    assert not got.passed
+    monkeypatch.setattr(verify, "_shrink_points", reference)
+    want = CHECKERS[prop](BUILT[row], cfg)
+    assert got.to_json() == want.to_json()
+
+
+# the affine selection never validates its endpoints, so a ladder row that
+# leaves the non-convex X1 is scored like any other, by its own 1-row call
+LINEAR_X1 = Bicombing("linear_X1", "linf", spaces.Region("X1"), linear)
+
+
+def spy(monkeypatch, domain):
+    """Record every batched violation the checks make, see :class:`Calls`."""
+    calls = Calls(None, domain)
+    violation = verify._violation
+
+    def recorded(make, b, points, params):
+        calls.viol = functools.partial(violation, make, b)
+        return calls(points, params)
+
+    monkeypatch.setattr(verify, "_violation", recorded)
+    return calls.log
+
+
+# at tol 1e-30 these fail on rounding; the affine selection is exactly
+# reversible and has the midpoint property
+@pytest.mark.parametrize("prop", ["geodesic", "conical", "convex", "consistent"])
+def test_rows_leaving_the_domain_keep_their_values(monkeypatch, prop):
+    cfg = SampleConfig(seed=4, tuples=200, t_grid=9, tol=1e-30)
+    log = spy(monkeypatch, LINEAR_X1.domain)
+    got = CHECKERS[prop](LINEAR_X1, cfg)
+    assert not got.passed
+    # ladder rows outside X1 were scored one by one, and none raised
+    assert [n for n, inside, _ in log if not inside].count(1) >= 5
+    assert all(raised is None for *_, raised in log)
+    monkeypatch.setattr(verify, "_shrink_points", reference)
+    want = CHECKERS[prop](LINEAR_X1, cfg)
+    assert got.to_json() == want.to_json()
+
+
+def test_a_batch_raising_inside_the_domain_falls_back_to_single_rows():
+    # on the lower tolerance edge of the antenna of X1 the averaged midpoint
+    # of tau_X1 can round out of X1, so a batch of ladder rows that all pass
+    # the domain test still raises
+    b = tau_X1_bicombing()
+    reversible = functools.partial(verify._violation, verify._reversible, b)
+
+    def viol(points, params):
+        # tau_X1 is exactly reversible along the antenna; the spread of the
+        # points gives shrinking a violation to keep
+        return reversible(points, params) + spaces.dist("linf", *points)
+
+    pts = [np.array([x, abs(x) - 1.0 - spaces.DEFAULT_TOL]) for x in (-1.95, -1.4)]
+    prm = np.array([[0.25]])
+    ref = viol(verify._rows(pts, 1), prm)[0]
+    got, log = both(viol, pts, prm, b.domain, ref, ref / 4)
+    assert any(n > 1 and inside and raised and "escaped X1" in raised
+               for n, inside, raised in log)
+    assert any(n == 1 and raised for n, _, raised in log)
+    assert not any(np.array_equal(a, p) for a, p in zip(got, pts))
+
+
+def test_a_ladder_that_never_raises_costs_three_batches_per_point():
+    b = sigma_delta_bicombing()
+    viol = functools.partial(verify._violation, verify._consistent, b)
+    pts = [np.array([2.5, 0.0]), np.array([-2.9, 0.0])]
+    prm = np.array([[0.19, 0.67, 0.57]])
+    ref = viol(verify._rows(pts, 1), prm)[0]
+    assert ref > 1e-3
+    # a loose tol lets the first point move a little
+    got, log = both(viol, pts, prm, b.domain, ref, 1e-2)
+    assert log == [(2 ** verify._LADDER - 1, True, None)] * (3 * len(pts))
+    assert not np.array_equal(got[0], pts[0])
