@@ -22,7 +22,7 @@ from .funcspace import (FunctionBicombing, MonotoneFn, eval_fn, from_breakpoints
                         identity_fn, invert, l1_distance, random_monotone_fn,
                         sqrt_approx, sqrt_identity_interpolant, to_text,
                         vertical_bicombing, vertical_fn_bicombing)
-from .verify import (CHECKERS, CONVEXITY_PAIR, EXPECTED_MATRIX, MATRIX_CHECKS,
+from .verify import (CHECKERS, CONVEXITY_PAIR, EXPECTED_MATRIX,
                      MtCluster, PropertyReport, SampleConfig, builtin_bicombings,
                      check_conical, check_consistent, check_convex, check_geodesic,
                      check_local_linearity, check_midpoint_property,

@@ -21,14 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import funcspace, spaces, verify
-from .bicombings import (DELTA_MAX, fold_f, sigma_delta, sigma_delta_bicombing,
-                         sigma_tilde_bicombing, sigma_X1, sigma_X1_bicombing, tau_X1)
-from .midpoint import MidpointConfig, reversibilize
-
-SUITE_NAMES = ("counterexample_sigma_delta", "counterexample_sigma_tilde",
-               "counterexample_X1", "counterexample_tau_X1",
-               "reversibilize_demo", "funcspace_demo", "rigidity",
-               "thresholds", "all")
+from .bicombings import (DELTA_MAX, _check_delta, fold_f, sigma_delta,
+                         sigma_delta_bicombing, sigma_X1, sigma_X1_bicombing, tau_X1)
 
 FIGURE_NAMES = ("space_X_with_geodesic", "convexity_pair", "folded_X1",
                 "midpoint_X1")
@@ -46,96 +40,37 @@ class SuiteSpec:
     out_dir: Path = Path("reports")
 
     def __post_init__(self):
-        if self.name not in SUITE_NAMES:
+        if self.name not in SUITES:
             raise ValueError(f"unknown suite {self.name!r}")
-        if not 0.0 <= self.delta <= DELTA_MAX:
-            raise ValueError(f"delta must lie in [0, 1/64], got {self.delta!r}")
+        _check_delta(self.delta)
         _cfg(self)  # tuples and tol, checked as the engine checks them
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
 
-def _cfg(spec, tuples=None):
-    return verify.SampleConfig(seed=spec.seed, tuples=tuples or spec.tuples,
+def _cfg(spec):
+    return verify.SampleConfig(seed=spec.seed, tuples=spec.tuples,
                                t_grid=33, tol=spec.tol)
 
 
-def _merge(*parts):
-    """Combine ``(observed, expected, files, extras)`` parts in order; where
-    two parts give the same (row, property) or file, the first one stays."""
-    observed, expected, files, extras = {}, {}, [], {}
-    for obs, exp, fl, ex in parts:
-        for into, table in ((observed, obs), (expected, exp)):
-            for row, props in table.items():
-                target = into.setdefault(row, {})
-                for prop, val in props.items():
-                    target.setdefault(prop, val)
-        seen = {name for name, _ in files}
-        files.extend((name, rep) for name, rep in fl if name not in seen)
-        extras.update(ex)
-    return observed, expected, files, extras
+# A probe returns ``(checks, files, extras)``: ``{row: {name: passed}}`` for
+# checks that are expected to pass, ``(name, report)`` pairs to write, and
+# values for the summary's extras.
 
-
-def _checks(spec, rows, cfg=None):
-    """The matrix checks of ``rows`` as a suite part, by default at the spec's
-    full sample size."""
-    built = verify.builtin_bicombings(spec.delta)
-    cfg = cfg or _cfg(spec)
-    reports = {row: {prop: verify.CHECKERS[prop](built[row], cfg)
-                     for prop in verify.MATRIX_CHECKS[row]} for row in rows}
-    observed = {row: {prop: rep.passed for prop, rep in props.items()}
-                for row, props in reports.items()}
-    expected = verify.expected_matrix(spec.delta)
-    files = [(f"{row}.{prop}", rep)
-             for row, props in reports.items() for prop, rep in props.items()]
-    return observed, {row: expected[row] for row in rows}, files, {}
-
-
-def _suite_X1(spec):
-    observed, expected, files, _ = _checks(spec, ["sigma_X1"])
+def _reversal_witness(spec):
     witness = {
         "forward": sigma_X1((-2.0, 1.0), (0.0, 0.0), 0.75).tolist(),
         "backward": sigma_X1((0.0, 0.0), (-2.0, 1.0), 0.25).tolist(),
     }
-    return observed, expected, files, {"reversal_witness": witness}
+    return {}, [], {"reversal_witness": witness}
 
 
-def _tau_golden():
+def _tau_golden(spec):
     fwd = tau_X1((-1.5, 0.5), (0.0, 0.5), 5.0 / 12.0)
     bwd = tau_X1((0.0, 0.5), (-1.5, 0.5), 7.0 / 12.0)
     ok = (np.max(np.abs(fwd - np.array([-0.875, 0.125]))) <= 1e-12
           and np.max(np.abs(bwd - np.array([-0.875, 1.0 / 48.0]))) <= 1e-12)
     extras = {"golden_forward": fwd.tolist(), "golden_backward": bwd.tolist()}
-    return ({"tau_X1": {"golden_witness": bool(ok)}},
-            {"tau_X1": {"golden_witness": True}}, [], extras)
-
-
-def _reversibilized(spec):
-    # midpoint iterations make every evaluation ~70 base evaluations deep,
-    # so this suite caps the tuple count
-    cfg = _cfg(spec, tuples=min(spec.tuples, 2000))
-    fixed = reversibilize(sigma_tilde_bicombing(spec.delta), MidpointConfig(tol=1e-10))
-    out_rev = verify.check_reversible(fixed, cfg)
-    small = dataclasses.replace(cfg, tuples=min(cfg.tuples, 500))
-    out_geo = verify.check_geodesic(fixed, small)
-    out_con = verify.check_conical(fixed, small)
-    observed = {"reversibilized_sigma_tilde": {"reversible": out_rev.passed,
-                                               "geodesic": out_geo.passed,
-                                               "conical": out_con.passed}}
-    expected = {"reversibilized_sigma_tilde": {"reversible": True, "geodesic": True,
-                                               "conical": True}}
-    files = [("reversibilized_sigma_tilde.reversible", out_rev),
-             ("reversibilized_sigma_tilde.geodesic", out_geo),
-             ("reversibilized_sigma_tilde.conical", out_con)]
-    return observed, expected, files, {}
-
-
-def _suite_reversibilize(spec):
-    base = verify.check_reversible(sigma_tilde_bicombing(spec.delta),
-                                   _cfg(spec, tuples=min(spec.tuples, 2000)))
-    expected = verify.expected_matrix(spec.delta)["sigma_tilde"]["reversible"]
-    return _merge(({"sigma_tilde": {"reversible": base.passed}},
-                   {"sigma_tilde": {"reversible": expected}},
-                   [("sigma_tilde.reversible", base)], {}), _reversibilized(spec))
+    return {"tau_X1": {"golden_witness": bool(ok)}}, [], extras
 
 
 def _funcspace_extras(spec):
@@ -154,24 +89,16 @@ def _funcspace_extras(spec):
         funcspace.l1_distance_batch(A[:, ::-1], B[:, ::-1])
         - funcspace.l1_distance_batch(A, B))))
 
-    observed = {"funcspace": {"distinct": separation > 1e-2,
-                              "horizontal_closed_form": closed_err <= 5e-4,
-                              "inversion_isometry": iso_err <= 1e-12}}
-    expected = {"funcspace": {"distinct": True, "horizontal_closed_form": True,
-                              "inversion_isometry": True}}
+    checks = {"funcspace": {"distinct": separation > 1e-2,
+                            "horizontal_closed_form": closed_err <= 5e-4,
+                            "inversion_isometry": iso_err <= 1e-12}}
     extras = {"vertical_vs_horizontal_l1": separation,
               "closed_form_max_error": closed_err,
               "inversion_isometry_max_error": iso_err}
-    return observed, expected, [], extras
+    return checks, [], extras
 
 
-def _suite_funcspace(spec):
-    cfg = _cfg(spec, tuples=min(spec.tuples, 3000))
-    return _merge(_checks(spec, ["funcspace_vertical", "funcspace_horizontal"], cfg),
-                  _funcspace_extras(spec))
-
-
-def _suite_rigidity(spec):
+def _rigidity(spec):
     corner_ok = True
     for t in (0.25, 0.5, 0.75):
         clusters = verify.mt_set("linf", (1.0, 1.0), (-1.0, -1.0), t,
@@ -200,48 +127,52 @@ def _suite_rigidity(spec):
         euclid_ok &= (len(clusters) == 1 and
                       float(np.max(np.abs(clusters[0].representative - target))) <= 1e-3)
 
-    cfg = _cfg(spec, tuples=min(spec.tuples, 2000))
+    cfg = dataclasses.replace(_cfg(spec), tuples=min(spec.tuples, 2000))
     bulge = verify.check_local_linearity(sigma_delta_bicombing(spec.delta),
                                          (0.0, 1.0 / 64.0), 1e-3, cfg)
     folded = verify.check_local_linearity(sigma_X1_bicombing(),
                                           (0.0, 0.0), 0.15, cfg)
 
-    observed = {"rigidity": {"corner_singleton": bool(corner_ok),
-                             "flat_segment": bool(seg_ok),
-                             "euclid_affine": bool(euclid_ok),
-                             "bulge_interior_linear": bulge.passed,
-                             "folded_diamond_linear": folded.passed}}
-    expected = {"rigidity": {k: True for k in observed["rigidity"]}}
+    checks = {"rigidity": {"corner_singleton": bool(corner_ok),
+                           "flat_segment": bool(seg_ok),
+                           "euclid_affine": bool(euclid_ok),
+                           "bulge_interior_linear": bulge.passed,
+                           "folded_diamond_linear": folded.passed}}
     files = [("sigma_delta.linear", bulge), ("sigma_X1.linear", folded)]
-    return observed, expected, files, {}
+    return checks, files, {}
 
 
-def _suite_thresholds(spec):
+def _thresholds(spec):
     rows = verify.delta_thresholds(spec.delta)
-    observed = {"thresholds": {label: positive for label, _, positive in rows}}
-    expected = {"thresholds": {label: True for label, _, _ in rows}}
+    checks = {"thresholds": {label: positive for label, _, positive in rows}}
     extras = {"values": {label: value for label, value, _ in rows}}
-    return observed, expected, [], extras
+    return checks, [], extras
 
 
-def _suite_all(spec):
-    # the sub-suites' own matrix checks would only repeat the full-sample ones
-    return _merge(_checks(spec, verify.MATRIX_CHECKS), _tau_golden(),
-                  _reversibilized(spec), _funcspace_extras(spec),
-                  _suite_rigidity(spec), _suite_thresholds(spec))
+def _row(row, cap=None):
+    """The entry that checks every property of ``row``."""
+    return row, tuple(verify.ROWS[row].expected), cap
 
 
-_SUITES = {
-    "counterexample_sigma_delta": lambda spec: _checks(spec, ["sigma_delta"]),
-    "counterexample_sigma_tilde": lambda spec: _checks(spec, ["sigma_tilde"]),
-    "counterexample_X1": _suite_X1,
-    "counterexample_tau_X1": lambda spec: _merge(_checks(spec, ["tau_X1"]),
-                                                 _tau_golden()),
-    "reversibilize_demo": _suite_reversibilize,
-    "funcspace_demo": _suite_funcspace,
-    "rigidity": _suite_rigidity,
-    "thresholds": _suite_thresholds,
-    "all": _suite_all,
+_REVERSIBILIZED = [("reversibilized_sigma_tilde", ("reversible",), 2000),
+                   ("reversibilized_sigma_tilde", ("geodesic", "conical"), 500)]
+
+#: The suites of the claims table (rows in :data:`verify.ROWS`): each runs its
+#: ``(row, properties, cap)`` entries in order, ``cap`` bounding the entry's
+#: tuple count, then its probes; a later entry or probe adds to a row.
+SUITES = {
+    "counterexample_sigma_delta": ([_row("sigma_delta")], []),
+    "counterexample_sigma_tilde": ([_row("sigma_tilde")], []),
+    "counterexample_X1": ([_row("sigma_X1")], [_reversal_witness]),
+    "counterexample_tau_X1": ([_row("tau_X1")], [_tau_golden]),
+    "reversibilize_demo": ([("sigma_tilde", ("reversible",), 2000)] + _REVERSIBILIZED, []),
+    "funcspace_demo": ([_row("funcspace_vertical", 3000), _row("funcspace_horizontal", 3000)],
+                       [_funcspace_extras]),
+    "rigidity": ([], [_rigidity]),
+    "thresholds": ([], [_thresholds]),
+    # the demos' own capped checks would only repeat the full-sample ones
+    "all": (verify.MATRIX + _REVERSIBILIZED,
+            [_tau_golden, _funcspace_extras, _rigidity, _thresholds]),
 }
 
 
@@ -249,7 +180,21 @@ def run_suite(spec):
     """Execute a campaign, write its reports, print the matrix; 0 on match."""
     t0 = time.perf_counter()
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    observed, expected, files, extras = _SUITES[spec.name](spec)
+    entries, probes = SUITES[spec.name]
+    reports = verify._run_entries(entries, _cfg(spec), spec.delta)
+    observed = {row: {prop: rep.passed for prop, rep in props.items()}
+                for row, props in reports.items()}
+    expected = verify._expected(entries, spec.delta)
+    files = [(f"{row}.{prop}", rep)
+             for row, props in reports.items() for prop, rep in props.items()]
+    extras = {}
+    for probe in probes:
+        checks, more_files, more_extras = probe(spec)
+        for row, props in checks.items():
+            observed.setdefault(row, {}).update(props)
+            expected.setdefault(row, {}).update(dict.fromkeys(props, True))
+        files += more_files
+        extras.update(more_extras)
 
     for name, report in files:
         path = spec.out_dir / f"{spec.name}.{name}.json"
@@ -331,8 +276,7 @@ def export_figure(name, delta, out, samples=257):
     """Write CSV polylines for one figure; columns ``series,t,x,y``."""
     if name not in FIGURE_NAMES:
         raise ValueError(f"unknown figure {name!r}")
-    if not 0.0 <= delta <= DELTA_MAX:
-        raise ValueError(f"delta must lie in [0, 1/64], got {delta!r}")
+    _check_delta(delta)
     T = np.linspace(0.0, 1.0, samples)
     rows = []
     if name == "space_X_with_geodesic":
@@ -383,7 +327,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="run a verification campaign")
-    runp.add_argument("--suite", required=True, choices=SUITE_NAMES)
+    runp.add_argument("--suite", required=True, choices=SUITES)
     runp.add_argument("--delta", type=float, default=DELTA_MAX)
     runp.add_argument("--seed", type=int, default=42)
     runp.add_argument("--tuples", type=int, default=20000)

@@ -39,7 +39,7 @@ def test_criterion_1_pass_fail_matrix():
 
 def test_pass_fail_matrix_without_bulge():
     # at delta 0 sigma_delta is consistent and sigma_tilde reversible and
-    # consistent (verify.ZERO_BULGE); the deviations must follow delta
+    # consistent (`zero_bulge` in verify.ROWS); the deviations must follow delta
     cfg = SampleConfig(seed=42, tuples=2000, t_grid=33, tol=1e-9)
     reports = run_matrix(cfg, delta=0.0)
     deviations = matrix_deviations(reports, delta=0.0)
