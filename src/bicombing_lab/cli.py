@@ -272,11 +272,13 @@ def _strip_boundary(rows, n):
                  _polyline([(-1.0, 0.0), (-2.0, -1.0)], n))
 
 
-def export_figure(name, delta, out, samples=257):
-    """Write CSV polylines for one figure; columns ``series,t,x,y``."""
+def export_figure(name, delta, out):
+    """Write CSV polylines for one figure, 257 parameter values each;
+    columns ``series,t,x,y``."""
     if name not in FIGURE_NAMES:
         raise ValueError(f"unknown figure {name!r}")
     _check_delta(delta)
+    samples = 257
     T = np.linspace(0.0, 1.0, samples)
     rows = []
     if name == "space_X_with_geodesic":

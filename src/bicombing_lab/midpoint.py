@@ -16,7 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bicombings import Bicombing
+from .bicombings import Bicombing, _pq
+
+#: The halving budget: 64 halvings underflow any diameter occurring here, so
+#: a gap still above tol after them did not contract.
+_MAX_HALVINGS = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -29,20 +33,14 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class MidpointConfig:
-    """Stopping rule for the halving iteration.
-
-    The default budget of 64 halvings is enough to underflow any diameter
-    occurring here, so hitting ``max_iter`` means the gap did not contract.
-    """
+    """Stopping rule for the halving iteration: stop once the gap is at most
+    ``tol``. The iteration gives up after :data:`_MAX_HALVINGS` halvings."""
 
     tol: float = 1e-10
-    max_iter: int = 64
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 def midpoint_iteration(base, x, y, cfg=None):
@@ -53,25 +51,21 @@ def midpoint_iteration(base, x, y, cfg=None):
     at the first n with gap <= tol and its midpoint is frozen there.
     """
     cfg = cfg or MidpointConfig()
-    X = np.array(np.atleast_2d(np.asarray(x, dtype=float)), copy=True)
-    Y = np.array(np.atleast_2d(np.asarray(y, dtype=float)), copy=True)
-    squeeze = np.asarray(x).ndim == 1 and np.asarray(y).ndim == 1
-    if X.shape[0] != Y.shape[0]:
-        n = max(X.shape[0], Y.shape[0])
-        X = np.ascontiguousarray(np.broadcast_to(X, (n, 2)))
-        Y = np.ascontiguousarray(np.broadcast_to(Y, (n, 2)))
+    X, Y, single = _pq(x, y)
+    # the iteration writes into X and Y, which may be the caller's arrays
+    X, Y = X.copy(), Y.copy()
     n = X.shape[0]
-    gaps = np.full((n, cfg.max_iter + 1), np.nan)
+    gaps = np.full((n, _MAX_HALVINGS + 1), np.nan)
     g = np.atleast_1d(np.asarray(base.dist(X, Y), dtype=float))
     gaps[:, 0] = g
     active = g > cfg.tol
     step = 0
     while active.any():
-        if step >= cfg.max_iter:
-            worst = float(np.max(g[active])) if active.any() else 0.0
+        if step >= _MAX_HALVINGS:
+            worst = float(np.max(g[active]))
             raise ConvergenceError(
                 f"midpoint gap {worst:g} still above tol {cfg.tol:g} after "
-                f"{cfg.max_iter} halvings; base selection is not conical here")
+                f"{_MAX_HALVINGS} halvings; base selection is not conical here")
         step += 1
         Xa, Ya = X[active], Y[active]
         Xn = base.eval(Xa, Ya, 0.5)
@@ -82,7 +76,7 @@ def midpoint_iteration(base, x, y, cfg=None):
         gaps[active, step] = ga
         g[active] = ga
         active[active] = ga > cfg.tol
-    mids = X[0] if squeeze and n == 1 else X
+    mids = X[0] if single else X
     return mids, gaps
 
 
@@ -91,7 +85,7 @@ def midpoint(base, x, y, cfg=None):
 
     Symmetric in its arguments and half way from either endpoint, each up to
     ``cfg.tol``. Raises :class:`ConvergenceError` when the iteration does not
-    contract within ``cfg.max_iter`` halvings.
+    contract within :data:`_MAX_HALVINGS` halvings.
     """
     mids, _ = midpoint_iteration(base, x, y, cfg)
     return mids

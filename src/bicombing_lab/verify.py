@@ -50,9 +50,6 @@ from .bicombings import (DELTA_MAX, linear, sigma_delta, sigma_delta_bicombing,
                          sigma_tilde_bicombing, sigma_X1_bicombing, tau_X1_bicombing)
 from .midpoint import MidpointConfig, reversibilize
 
-PROPERTIES = ("geodesic", "conical", "convex", "consistent", "reversible",
-              "midpoint_property", "linear")
-
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -282,11 +279,10 @@ def _shrink_points(viol, pts, prm, domain, ref, tol):
     One batch scores the ladder of the next :data:`_LADDER` steps (see
     :func:`_ladder`), and the acceptance rule is replayed over it in order;
     since the violation is row-wise, the steps are those of scoring one
-    midpoint at a time. Only rows whose moved point lies in ``domain`` go
-    into the batch; a visited midpoint the batch did not score (outside the
-    domain, or in a batch that raised ``ValueError``) gets its own guarded
-    1-row call, so the domain test decides how a row is evaluated, never its
-    value.
+    midpoint at a time. A witness is a tuple of points of the space, so the
+    domain test is the feasibility rule: a row whose moved point leaves
+    ``domain`` scores ``-inf`` without being evaluated, and the rows inside
+    go into one batch guarded by :func:`_guard`.
     """
     pts = [np.array(p, dtype=float) for p in pts]
     centroid = np.mean(np.stack(pts), axis=0)
@@ -298,23 +294,14 @@ def _shrink_points(viol, pts, prm, domain, ref, tol):
             mids = _ladder(good, hi)
             moved = pts[k] + np.array(mids)[:, None] * (centroid - pts[k])
             inside = np.flatnonzero(spaces.contains(domain, moved, spaces.DEFAULT_TOL))
-            scored = {}
+            vals = np.full(len(mids), -math.inf)
             if len(inside):
                 rows = _rows(pts, len(inside))
                 rows[k] = moved[inside]
-                try:
-                    scored = dict(zip(inside.tolist(),
-                                      viol(rows, np.repeat(prm, len(inside), axis=0))))
-                except ValueError:
-                    pass
+                vals[inside] = guarded(rows, np.repeat(prm, len(inside), axis=0))
             i = 0
             for _ in range(_LADDER):
-                if i in scored:
-                    v = scored[i]
-                else:
-                    cand = list(pts)
-                    cand[k] = moved[i]
-                    v = guarded(_rows(cand, 1), prm)[0]
+                v = vals[i]
                 if v >= floor and v > tol:
                     good, i = mids[i], 2 * i + 2
                 else:
@@ -443,15 +430,13 @@ def _convex(b, points):
     return f
 
 
-def check_convex(b, cfg, tau_steps=(1.0 / 64.0, 1.0 / 128.0)):
-    """Two-sided midpoint criterion for convexity of the gap function."""
-    if not tau_steps or not all(0.0 < tau < 0.5 for tau in tau_steps):
-        raise ValueError("tau steps must lie in (0, 1/2)")
+def check_convex(b, cfg):
+    """Two-sided midpoint criterion for convexity of the gap function, at
+    steps ``tau`` 1/64 and 1/128 around each interior grid value ``t`` whose
+    stencil fits in [0, 1]; the grid value nearest 1/2 always does."""
     _, points = _draw(b.sample, cfg, 4)
-    cands = [(t, float(tau)) for t in _grid(cfg)[1:-1] for tau in tau_steps
+    cands = [(t, tau) for t in _grid(cfg)[1:-1] for tau in (1.0 / 64.0, 1.0 / 128.0)
              if t - tau >= 0.0 and t + tau <= 1.0]
-    if not cands:
-        raise ValueError("no (t, tau) stencil of the parameter grid fits in [0, 1]")
     return _check("convex", b, cfg, _convex, points, ("p", "q", "p2", "q2"), ("t", "tau"),
                   cands)
 

@@ -109,15 +109,16 @@ def test_funcspace_extras_are_pinned(seed, iso_err):
                       "inversion_isometry_max_error": iso_err}
 
 
-def test_funcspace_suite_outputs_are_byte_stable(tmp_path):
+@pytest.mark.parametrize("suite, files", [("funcspace_demo", 4), ("all", 28)])
+def test_suite_outputs_are_byte_stable(tmp_path, suite, files):
     outputs = []
     for run in ("a", "b"):
         out = tmp_path / run
-        assert run_suite(SuiteSpec(name="funcspace_demo", tuples=200, out_dir=out)) == 0
+        assert run_suite(SuiteSpec(name=suite, tuples=300, out_dir=out)) == 0
         outputs.append({path.name: [line for line in path.read_bytes().splitlines()
                                     if b'"elapsed_seconds"' not in line]
                         for path in sorted(out.iterdir())})
-    assert len(outputs[0]) == 4
+    assert len(outputs[0]) == files
     assert outputs[0] == outputs[1]
 
 

@@ -8,14 +8,12 @@ from bicombing_lab.midpoint import (ConvergenceError, MidpointConfig, midpoint,
 from bicombing_lab.spaces import Region, dist
 from bicombing_lab.verify import SampleConfig, check_reversible
 
-CFG = MidpointConfig(tol=1e-10, max_iter=64)
+CFG = MidpointConfig(tol=1e-10)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         MidpointConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        MidpointConfig(max_iter=0)
 
 
 def test_midpoint_linear_one_step():
@@ -72,8 +70,20 @@ def test_midpoint_non_contracting_base_raises():
         return np.array(np.atleast_2d(np.asarray(q, dtype=float)), copy=True)
 
     fake = Bicombing("swap", "euclid", Region.ball((0, 0), 8.0, "euclid"), swap_eval)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="after 64 halvings"):
         midpoint(fake, np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), CFG)
+
+
+def test_midpoint_iteration_leaves_the_callers_points_alone():
+    sx = sigma_X1_bicombing()
+    rng = np.random.default_rng(7)
+    X, Y = sx.sample(rng, 50), sx.sample(rng, 50)
+    X0, Y0 = X.copy(), Y.copy()
+    mids, _ = midpoint_iteration(sx, X, Y, CFG)
+    assert np.array_equal(X, X0) and np.array_equal(Y, Y0)
+    # one point against a batch broadcasts, and stays unsqueezed
+    one, _ = midpoint_iteration(sx, X0[0], Y0[:1], CFG)
+    assert one.shape == (1, 2) and np.array_equal(one[0], mids[0])
 
 
 def test_reversibilize_linear_is_linear():
@@ -105,7 +115,7 @@ def test_reversibilize_idempotent_up_to_tolerance():
     rev1 = reversibilize(base, CFG)
     # the second pass sees a base that is conical only up to 2*tol, so it
     # runs at a coarser tolerance
-    cfg2 = MidpointConfig(tol=1e-8, max_iter=64)
+    cfg2 = MidpointConfig(tol=1e-8)
     rev2 = reversibilize(rev1, cfg2)
     rng = np.random.default_rng(6)
     P, Q = base.sample(rng, 30), base.sample(rng, 30)

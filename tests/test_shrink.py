@@ -3,12 +3,14 @@
 ``verify._shrink_points`` scores the midpoints the next ``_LADDER`` bisection
 steps of a point can visit in one batch and replays the acceptance rule over
 them. The sequential bisection it replaced is kept here as the reference:
-both must shrink a witness to the same points bit for bit, also where ladder
-rows leave the domain (scored by their own 1-row calls) and where a batch of
-rows inside the domain still raises.
+both must shrink a witness to the same points bit for bit. In both, a step
+whose moved point leaves the domain scores ``-inf`` without being evaluated,
+so a witness stays a tuple of points of the space; a batch of rows inside the
+domain that still raises is replayed row by row.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -42,11 +44,26 @@ def sequential_shrink(viol_pts, pts, ref, tol):
 
 
 def reference(viol, pts, prm, domain, ref, tol):
-    """:func:`sequential_shrink` in the signature of ``verify._shrink_points``,
-    each step a guarded 1-row call."""
+    """:func:`sequential_shrink` in the signature of ``verify._shrink_points``:
+    a step with a point outside ``domain`` scores ``-inf`` without a call,
+    any other step is a guarded 1-row call."""
     guarded = verify._guard(viol)
-    return sequential_shrink(lambda cand: guarded(verify._rows(cand, 1), prm)[0],
-                             pts, ref, tol)[0]
+
+    def score(cand):
+        if not all(inside(domain, p) for p in cand):
+            return -math.inf
+        return guarded(verify._rows(cand, 1), prm)[0]
+
+    return sequential_shrink(score, pts, ref, tol)[0]
+
+
+def inside(domain, point):
+    return bool(np.all(spaces.contains(domain, np.asarray(point), spaces.DEFAULT_TOL)))
+
+
+def points(report):
+    """The witness points of a planar report."""
+    return [v for v in report.witness.values() if isinstance(v, list)]
 
 
 class Calls:
@@ -57,14 +74,13 @@ class Calls:
         self.viol, self.domain, self.log = viol, domain, []
 
     def __call__(self, points, params):
-        inside = all(np.all(spaces.contains(self.domain, p, spaces.DEFAULT_TOL))
-                     for p in points)
+        within = all(inside(self.domain, p) for p in points)
         try:
             out = self.viol(points, params)
         except ValueError as exc:
-            self.log.append((len(params), inside, str(exc)))
+            self.log.append((len(params), within, str(exc)))
             raise
-        self.log.append((len(params), inside, None))
+        self.log.append((len(params), within, None))
         return out
 
 
@@ -89,13 +105,15 @@ def test_expected_failures_shrink_as_the_sequential_bisection(monkeypatch, row, 
     cfg = SampleConfig(seed=seed, tuples=200)
     got = CHECKERS[prop](BUILT[row], cfg)
     assert not got.passed
+    # the built-ins validate their endpoints, and their witnesses lie in X or X1
+    assert all(inside(BUILT[row].domain, p) for p in points(got))
     monkeypatch.setattr(verify, "_shrink_points", reference)
     want = CHECKERS[prop](BUILT[row], cfg)
     assert got.to_json() == want.to_json()
 
 
-# the affine selection never validates its endpoints, so a ladder row that
-# leaves the non-convex X1 is scored like any other, by its own 1-row call
+# the affine selection never validates its endpoints, so only the domain test
+# keeps a ladder row that leaves the non-convex X1 out of the witness
 LINEAR_X1 = Bicombing("linear_X1", "linf", spaces.Region("X1"), linear)
 
 
@@ -113,16 +131,19 @@ def spy(monkeypatch, domain):
 
 
 # at tol 1e-30 these fail on rounding; the affine selection is exactly
-# reversible and has the midpoint property
+# reversible and has the midpoint property. The centroid of a witness can lie
+# outside the non-convex X1, so shrinking must refuse the moves toward it.
+@pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("prop", ["geodesic", "conical", "convex", "consistent"])
-def test_rows_leaving_the_domain_keep_their_values(monkeypatch, prop):
-    cfg = SampleConfig(seed=4, tuples=200, t_grid=9, tol=1e-30)
+def test_witnesses_of_a_selection_that_does_not_validate_stay_in_the_domain(
+        monkeypatch, prop, seed):
+    cfg = SampleConfig(seed=seed, tuples=200, t_grid=9, tol=1e-30)
     log = spy(monkeypatch, LINEAR_X1.domain)
     got = CHECKERS[prop](LINEAR_X1, cfg)
     assert not got.passed
-    # ladder rows outside X1 were scored one by one, and none raised
-    assert [n for n, inside, _ in log if not inside].count(1) >= 5
+    assert log and all(within for _, within, _ in log)
     assert all(raised is None for *_, raised in log)
+    assert all(inside(LINEAR_X1.domain, p) for p in points(got))
     monkeypatch.setattr(verify, "_shrink_points", reference)
     want = CHECKERS[prop](LINEAR_X1, cfg)
     assert got.to_json() == want.to_json()

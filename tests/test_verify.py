@@ -62,17 +62,11 @@ def _nan_every_7th_row():
     return Bicombing("linear_nan7", base.space, base.domain, broken)
 
 
-@pytest.mark.parametrize("tau_steps", [(), (0.0,), (0.5,), (math.nan,), (1 / 64, 0.6)])
-def test_convex_rejects_bad_tau_steps(tau_steps):
-    with pytest.raises(ValueError, match=r"tau steps must lie in \(0, 1/2\)"):
-        check_convex(sigma_delta_bicombing(DELTA), CFG, tau_steps=tau_steps)
-
-
-def test_convex_rejects_a_grid_without_a_fitting_stencil():
-    # t_grid 4 has the interior points 1/3 and 2/3, and t +- 0.4 leaves [0, 1]
-    cfg = SampleConfig(seed=1, tuples=20, t_grid=4)
-    with pytest.raises(ValueError, match=r"no \(t, tau\) stencil"):
-        check_convex(sigma_delta_bicombing(DELTA), cfg, tau_steps=(0.4,))
+@pytest.mark.parametrize("t_grid, stencils", [(3, 2), (4, 4)])
+def test_convex_scans_both_steps_at_every_interior_grid_value(t_grid, stencils):
+    # even the coarsest grid has the interior value 1/2, where both steps fit
+    cfg = SampleConfig(seed=1, tuples=20, t_grid=t_grid)
+    assert check_convex(sigma_delta_bicombing(DELTA), cfg).samples_evaluated == 20 * stencils
 
 
 def test_a_failing_report_carries_a_failing_witness():
