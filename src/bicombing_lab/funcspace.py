@@ -356,9 +356,6 @@ class FunctionBicombing:
     def eval(self, F, G, t):
         return self.combine(F, G, t)
 
-    def __call__(self, F, G, t):
-        return self.eval(F, G, t)
-
     def path(self, F, G):
         return lambda t: self.eval(F, G, t)
 

@@ -3,8 +3,9 @@
 Each check draws a deterministic sample of endpoint tuples from the
 bicombing's domain, scans a parameter grid and reports the worst violation of
 the property's defining inequality. Failures come back as reports carrying a
-counterexample witness, never as exceptions; checks are falsification at a
-fixed tolerance, not proof.
+counterexample witness, never as exceptions; an evaluation that raises (a
+selection rejecting a point) makes the check raise. Checks are falsification
+at a fixed tolerance, not proof.
 
 Each inequality is written once, as a property ``make(b, points)`` (``_conical``
 and its siblings) that does the parameter-free work on a batch of point rows
@@ -40,7 +41,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -91,28 +92,19 @@ class PropertyReport:
     """
 
     property: str
+    bicombing: str
     passed: bool
     worst_violation: float
     witness: dict | None
     samples_evaluated: int
     seed: int
     tol: float
-    bicombing: str = ""
 
     def to_dict(self):
-        return {
-            "property": self.property,
-            "bicombing": self.bicombing,
-            "passed": self.passed,
-            "worst_violation": self.worst_violation,
-            "witness": self.witness,
-            "samples_evaluated": self.samples_evaluated,
-            "seed": self.seed,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _ser_point(p):
@@ -282,12 +274,11 @@ def _shrink_points(viol, pts, prm, domain, ref, tol):
     midpoint at a time. A witness is a tuple of points of the space, so the
     domain test is the feasibility rule: a row whose moved point leaves
     ``domain`` scores ``-inf`` without being evaluated, and the rows inside
-    go into one batch guarded by :func:`_guard`.
+    go into one batch, which must not raise.
     """
     pts = [np.array(p, dtype=float) for p in pts]
     centroid = np.mean(np.stack(pts), axis=0)
     floor = ref - tol / 10.0
-    guarded = _guard(viol)
     for k in range(len(pts)):
         good, hi = 0.0, 1.0
         for _ in range(12 // _LADDER):
@@ -298,7 +289,7 @@ def _shrink_points(viol, pts, prm, domain, ref, tol):
             if len(inside):
                 rows = _rows(pts, len(inside))
                 rows[k] = moved[inside]
-                vals[inside] = guarded(rows, np.repeat(prm, len(inside), axis=0))
+                vals[inside] = viol(rows, np.repeat(prm, len(inside), axis=0))
             i = 0
             for _ in range(_LADDER):
                 v = vals[i]
@@ -308,22 +299,6 @@ def _shrink_points(viol, pts, prm, domain, ref, tol):
                     hi, i = mids[i], 2 * i + 1
         pts[k] = pts[k] + good * (centroid - pts[k])
     return pts
-
-
-def _guard(viol):
-    """``viol`` with an infeasible candidate scored ``-inf``: a batch that
-    raises ``ValueError`` is replayed row by row, and a 1-row batch that
-    raises is ``-inf``."""
-    def wrapped(points, params):
-        try:
-            return np.asarray(viol(points, params), dtype=float)
-        except ValueError:
-            if len(params) == 1:
-                return np.array([-math.inf])
-            return np.concatenate([wrapped([p[i:i + 1] for p in points], params[i:i + 1])
-                                   for i in range(len(params))])
-
-    return wrapped
 
 
 def _violation(make, b, points, params):
@@ -336,18 +311,18 @@ def _finish(prop, cfg, b, worst, samples, pts, names, params, param_names, make=
     """Assemble a report; on failure refine the witness parameters, shrink the
     witness points and re-evaluate the violation they attain.
 
-    ``make`` is the property (see :func:`_violation`); a batch may raise
-    ``ValueError`` for an infeasible candidate, which is then rejected (see
-    :func:`_guard`). Without it the witness is reported as scanned.
+    ``make`` is the property (see :func:`_violation`); without it the witness
+    is reported as scanned. An evaluation that raises makes the check raise
+    in every phase, as in the scan: refinement moves only the parameters, and
+    shrinking evaluates only rows whose points pass the domain test.
     """
     if worst <= cfg.tol:
-        return PropertyReport(prop, True, float(worst), None, int(samples),
-                              cfg.seed, cfg.tol, b.name)
+        return PropertyReport(prop, b.name, True, float(worst), None, int(samples),
+                              cfg.seed, cfg.tol)
     params = [float(v) for v in params]
     at = worst
     if make is not None and math.isfinite(worst):
-        raw = functools.partial(_violation, make, b)
-        viol = _guard(raw)
+        viol = functools.partial(_violation, make, b)
         if params:
             bounds = [(0.0, 1.0)] * len(params)
             refined, tuned = _refine_params(lambda prm: viol(_rows(pts, len(prm)), prm),
@@ -358,13 +333,13 @@ def _finish(prop, cfg, b, worst, samples, pts, names, params, param_names, make=
         # shrinking moves points toward their centroid, which only vector
         # points support; packed function rows are replayed as they are
         if pts and np.ndim(pts[0]) == 1:
-            pts = _shrink_points(raw, pts, prm, b.domain, worst, cfg.tol)
+            pts = _shrink_points(viol, pts, prm, b.domain, worst, cfg.tol)
         at = viol(_rows(pts, 1), prm)[0]
     witness = {name: _ser_point(p) for name, p in zip(names, pts)}
     witness.update({name: float(v) for name, v in zip(param_names, params)})
     witness["violation"] = float(at)
-    return PropertyReport(prop, False, float(worst), witness, int(samples),
-                          cfg.seed, cfg.tol, b.name)
+    return PropertyReport(prop, b.name, False, float(worst), witness, int(samples),
+                          cfg.seed, cfg.tol)
 
 
 def _geodesic(b, points):
@@ -695,7 +670,7 @@ ROWS = {
                         "consistent": False},
                        {"reversible": True, "consistent": True}),
     # claim B at delta 0: the piecewise-linear selection is consistent
-    "sigma_zero": Row(lambda d: sigma_delta_bicombing(0.0, name="sigma_delta[0]"),
+    "sigma_zero": Row(lambda d: sigma_delta_bicombing(0.0),
                       {"consistent": True}),
     # claim A: a conical bicombing on a non-convex set need not be reversible
     "sigma_X1": Row(lambda d: sigma_X1_bicombing(),
@@ -755,11 +730,6 @@ MATRIX = [(row, tuple(ROWS[row].expected), None)
 EXPECTED_MATRIX = _expected(MATRIX)
 
 
-def expected_matrix(delta=DELTA_MAX):
-    """:data:`EXPECTED_MATRIX` at bulge parameter ``delta``."""
-    return _expected(MATRIX, delta)
-
-
 def builtin_bicombings(delta=DELTA_MAX):
     """The bicombings the expected matrix talks about, keyed by matrix row."""
     return {row: ROWS[row].build(delta) for row in EXPECTED_MATRIX}
@@ -774,7 +744,7 @@ def matrix_deviations(reports, delta=DELTA_MAX):
     """Entries of the observed matrix that differ from the expected one at
     bulge parameter ``delta``."""
     devs = []
-    for row, props in expected_matrix(delta).items():
+    for row, props in _expected(MATRIX, delta).items():
         for prop, want in props.items():
             got = reports[row][prop].passed
             if got != want:

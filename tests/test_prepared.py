@@ -106,9 +106,26 @@ def test_prepare_rejects_like_eval(b, rows):
             assert _message(lambda: b.path(P, Q)) == message
 
 
+def test_tau_X1_accepts_every_pair_on_the_antenna_edge():
+    # y = |x| - 1 - DEFAULT_TOL is the lower tolerance edge of the antenna of
+    # X1; averaging the two half-way points of such a pair can put M up to
+    # DEFAULT_TOL further out, which the domain test on M allows for
+    b = tau_X1_bicombing()
+    rng = np.random.default_rng(19)
+    x = rng.uniform(-2.0, -1.0, (2, 2000))
+    P, Q = (np.stack([xs, np.abs(xs) - 1.0 - spaces.DEFAULT_TOL], axis=-1) for xs in x)
+    assert spaces.contains(b.domain, P).all() and spaces.contains(b.domain, Q).all()
+    for T in (0.5, rng.random(len(P))):
+        got = b.eval(P, Q, T)
+        assert np.array_equal(got, _one_by_one(b, P, Q, T))
+        assert np.array_equal(b.path(P, Q)(T), got)
+
+
 def test_tau_X1_keeps_the_escaped_midpoint_error(monkeypatch):
-    # no pair of X1 is known to push the averaged midpoint out, so the third
-    # membership test of a preparation (the one on M) is made to fail
+    # pairs on the tolerance edge of the antenna push the averaged midpoint up
+    # to DEFAULT_TOL past X1, within the slack of its own domain test; to see
+    # that test raise, the third membership test of a preparation (the one on
+    # M) is made to fail
     real = spaces.contains
     calls = []
 
@@ -122,7 +139,7 @@ def test_tau_X1_keeps_the_escaped_midpoint_error(monkeypatch):
     p, q = (-1.5, 0.5), (0.0, 0.5)
     for fn in (lambda: b.eval(p, q, 0.25), lambda: b.path(p, q)):
         calls.clear()
-        with pytest.raises(ValueError, match=r"averaged midpoint \(.*\) escaped X1"):
+        with pytest.raises(ValueError, match=r"averaged midpoint \(.*\) lies outside X1"):
             fn()
 
 

@@ -5,7 +5,7 @@ schedule in one batch and replays the acceptance rules over it. The
 sequential loop it replaced is kept here as the reference: both must return
 the same ``(best, params)`` bit for bit. The batches are only exact because
 every checker's violation is row-wise, so a batch must also equal the stack
-of its 1-row calls, an infeasible row included.
+of its 1-row calls; a row outside the domain makes the whole batch raise.
 """
 
 import functools
@@ -163,17 +163,6 @@ def _bicombings():
 BUILT = _bicombings()
 
 
-def _outside(b, point):
-    """A point the bicombing rejects with ``ValueError``, or ``None``."""
-    if b.name.startswith("linear"):
-        return None  # the affine selection accepts any point
-    if np.ndim(point) == 2:
-        bad = np.array(point, copy=True)
-        bad[1] = bad[1, ::-1]  # decreasing values: no monotone function
-        return bad
-    return np.array([0.0, 5.0])
-
-
 # local linearity compares with the planar affine path, so no function space
 @pytest.mark.parametrize("row, prop", [(row, prop) for prop in VIOLATIONS for row in BUILT
                                        if not (prop == "linear" and row.startswith("funcspace"))])
@@ -187,40 +176,33 @@ def test_a_batch_equals_its_one_row_calls(row, prop):
     if prop == "convex":
         params[:, 1] *= 0.4  # some stencils fit in [0, 1], some do not
         params[0] = (0.5, 0.0)
-    bad = _outside(b, points[0][0])
-    if bad is not None:
-        for pts in points:
-            pts[3] = bad
-
-    raised = []
-
-    def viol(pts, prm):
-        try:
-            return fn(b, pts, prm)
-        except ValueError:
-            raised.append(len(prm))
-            raise
-
-    guarded = verify._guard(viol)
-    got = guarded(points, params)
-    rows = [guarded([p[i:i + 1] for p in points], params[i:i + 1]) for i in range(m)]
+    got = fn(b, points, params)
+    rows = [fn(b, [p[i:i + 1] for p in points], params[i:i + 1]) for i in range(m)]
     assert all(r.shape == (1,) for r in rows)
-    assert np.array_equal(got, np.concatenate(rows), equal_nan=True)
-    # the batch raises once, then the infeasible row once in its replay and
-    # once as its own 1-row batch, which is scored without a second try
-    assert raised == ([m, 1, 1] if bad is not None else [])
-    if bad is not None:
-        with pytest.raises(ValueError):
-            viol(points, params)
-        assert got[3] == -math.inf
-        keep = np.arange(m) != 3
-        # without the infeasible row the batch runs as one call
-        assert np.array_equal(viol([p[keep] for p in points], params[keep]), got[keep],
-                              equal_nan=True)
+    assert np.array_equal(got, np.concatenate(rows))
     assert np.isfinite(got[got != -math.inf]).all()
     if prop == "convex":
         t, tau = params.T
-        assert (got[(t - tau < 0.0) | (t + tau > 1.0) | (tau <= 0.0)] == -math.inf).all()
+        infeasible = (t - tau < 0.0) | (t + tau > 1.0) | (tau <= 0.0)
+        assert infeasible.any() and (got[infeasible] == -math.inf).all()
+    else:
+        assert np.isfinite(got).all()
+
+
+# one row outside the domain of a selection that validates its endpoints makes
+# the whole batch raise, so refinement meeting such a row fails its check
+@pytest.mark.parametrize("prop", VIOLATIONS)
+def test_a_row_outside_the_domain_makes_the_batch_raise(prop):
+    b = BUILT["tau_X1"]
+    fn, npts, k = VIOLATIONS[prop]
+    rng = np.random.default_rng(7)
+    points = [b.sample(rng, 24) for _ in range(npts)]
+    params = rng.random((24, k))
+    points[0][3] = (0.0, 5.0)
+    with pytest.raises(ValueError, match="endpoint .* lies outside X1"):
+        fn(b, points, params)
+    keep = np.arange(24) != 3
+    assert fn(b, [p[keep] for p in points], params[keep]).shape == (23,)
 
 
 def test_consistency_defect_is_the_one_row_batch():
