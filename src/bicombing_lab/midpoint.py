@@ -12,6 +12,7 @@ concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,28 +44,20 @@ class MidpointConfig:
             raise ValueError("tol must be positive")
 
 
-def midpoint_iteration(base, x, y, cfg=None):
-    """Run the halving iteration and return ``(midpoints, gaps)``.
-
-    ``gaps[i, n]`` is the distance between the two sequences of pair ``i``
-    after ``n`` halvings, ``nan`` once that pair has stopped. Each pair stops
-    at the first n with gap <= tol and its midpoint is frozen there.
-    """
-    cfg = cfg or MidpointConfig()
-    X, Y, single = _pq(x, y)
-    # the iteration writes into X and Y, which may be the caller's arrays
-    X, Y = X.copy(), Y.copy()
-    n = X.shape[0]
-    gaps = np.full((n, _MAX_HALVINGS + 1), np.nan)
+def _halvings(base, X, Y, tol):
+    """Halve the gaps between the rows of ``X`` and ``Y`` in place until each
+    is at most ``tol``. Yields ``(step, rows, gaps)`` once per step: the rows
+    halved at that step (every row at step 0, before any halving) and their
+    gaps after it. Each row stops at the first gap <= tol and stays frozen."""
     g = np.atleast_1d(np.asarray(base.dist(X, Y), dtype=float))
-    gaps[:, 0] = g
-    active = g > cfg.tol
+    yield 0, slice(None), g
+    active = g > tol
     step = 0
     while active.any():
         if step >= _MAX_HALVINGS:
             worst = float(np.max(g[active]))
             raise ConvergenceError(
-                f"midpoint gap {worst:g} still above tol {cfg.tol:g} after "
+                f"midpoint gap {worst:g} still above tol {tol:g} after "
                 f"{_MAX_HALVINGS} halvings; base selection is not conical here")
         step += 1
         Xa, Ya = X[active], Y[active]
@@ -73,11 +66,30 @@ def midpoint_iteration(base, x, y, cfg=None):
         X[active] = Xn
         Y[active] = Yn
         ga = np.atleast_1d(np.asarray(base.dist(Xn, Yn), dtype=float))
-        gaps[active, step] = ga
+        yield step, active, ga
         g[active] = ga
-        active[active] = ga > cfg.tol
-    mids = X[0] if single else X
-    return mids, gaps
+        active[active] = ga > tol
+
+
+def _start(x, y):
+    X, Y, single = _pq(x, y)
+    # the iteration writes into X and Y, which may be the caller's arrays
+    return X.copy(), Y.copy(), single
+
+
+def midpoint_iteration(base, x, y, cfg=None):
+    """Run the halving iteration and return ``(midpoints, gaps)``.
+
+    ``gaps[i, n]`` is the distance between the two sequences of pair ``i``
+    after ``n`` halvings, ``nan`` once that pair has stopped. Each pair stops
+    at the first n with gap <= tol and its midpoint is frozen there.
+    """
+    cfg = cfg or MidpointConfig()
+    X, Y, single = _start(x, y)
+    gaps = np.full((X.shape[0], _MAX_HALVINGS + 1), np.nan)
+    for step, rows, g in _halvings(base, X, Y, cfg.tol):
+        gaps[rows, step] = g
+    return (X[0] if single else X), gaps
 
 
 def midpoint(base, x, y, cfg=None):
@@ -85,10 +97,29 @@ def midpoint(base, x, y, cfg=None):
 
     Symmetric in its arguments and half way from either endpoint, each up to
     ``cfg.tol``. Raises :class:`ConvergenceError` when the iteration does not
-    contract within :data:`_MAX_HALVINGS` halvings.
+    contract within :data:`_MAX_HALVINGS` halvings. Unlike
+    :func:`midpoint_iteration` it keeps no gap history.
     """
-    mids, _ = midpoint_iteration(base, x, y, cfg)
-    return mids
+    cfg = cfg or MidpointConfig()
+    X, Y, single = _start(x, y)
+    for _ in _halvings(base, X, Y, cfg.tol):
+        pass
+    return X[0] if single else X
+
+
+class _ReversibilizedPath:
+    """A reversibilized selection prepared on one endpoint batch: the base
+    paths ``p -> q`` and ``q -> p``, prepared once; ``at(t)`` takes the
+    metric midpoint of the two at mirrored parameters."""
+
+    def __init__(self, base, cfg, p, q):
+        self.base, self.cfg = base, cfg
+        self.forward, self.backward = base.path(p, q), base.path(q, p)
+
+    def at(self, t):
+        a = self.forward(t)
+        b = self.backward(1.0 - np.asarray(t, dtype=float))
+        return midpoint(self.base, a, b, self.cfg)
 
 
 def reversibilize(base, cfg=None):
@@ -98,13 +129,17 @@ def reversibilize(base, cfg=None):
     and takes the metric midpoint of the two, so forward and backward
     traversals agree within ``2 * cfg.tol``; the result stays geodesic and
     conical up to the same slack. Midpoint iteration failures propagate.
+
+    Its ``prepare(p, q)`` prepares the two base paths once per endpoint
+    batch (through ``base.path``, so a base without ``prepare`` works too),
+    and ``eval(p, q, t)`` is ``prepare(p, q).at(t)``: ``path`` and ``eval``
+    agree bit for bit. Only the halving iteration, whose endpoints move,
+    evaluates the base afresh at each step.
     """
-    cfg = cfg or MidpointConfig()
+    prepare = functools.partial(_ReversibilizedPath, base, cfg or MidpointConfig())
 
     def ev(p, q, t):
-        a = base.eval(p, q, t)
-        b = base.eval(q, p, 1.0 - np.asarray(t, dtype=float))
-        return midpoint(base, a, b, cfg)
+        return prepare(p, q).at(t)
 
     return Bicombing(name=f"reversibilized({base.name})", space=base.space,
-                     domain=base.domain, eval=ev)
+                     domain=base.domain, eval=ev, prepare=prepare)

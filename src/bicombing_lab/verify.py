@@ -12,6 +12,8 @@ and its siblings) that does the parameter-free work on a batch of point rows
 and returns the violation as a function of the parameters. The scan calls it
 with scalar grid values on the whole sample; refinement and shrinking call it
 with one column per parameter on the witness tuple repeated to ``m`` rows.
+Refinement moves only the parameters, so it prepares the witness once, on the
+largest batch its schedule can plan, and pads each batch to that size.
 Refinement scores a stretch of its coordinate-ascent schedule per batch,
 shrinking the ladder of midpoints the next :data:`_LADDER` bisection steps of
 a point can visit; both replay their acceptance rules over the batch in
@@ -188,6 +190,45 @@ def _check(prop, b, cfg, make, points, names, param_names, cands):
                    names, params, param_names, make)
 
 
+#: The refinement schedule: coordinate steps start at ``_STEP`` and halve
+#: after a sweep that gains less than tol/10, until they fall below
+#: ``_MIN_STEP`` or ``_MAX_SWEEPS`` sweeps have run.
+_STEP, _MIN_STEP, _MAX_SWEEPS = 1.0 / 16.0, 1e-6, 200
+
+
+def _plan(params, bounds, tol, step, sweeps, j, gained):
+    """Every candidate the schedule would try from its position if none of
+    them improved, as ``(candidate, step, sweep, next j)``: the rest of the
+    current sweep, then each later sweep of the halving ladder. The position
+    is the step, the sweep count, the next candidate ``j`` of the sweep
+    (coordinate ``j // 2``, sign + then -) and the sweep's gain so far."""
+    n = 2 * len(params)
+    plan = []
+    while True:
+        if j == n:
+            if gained < tol / 10.0:
+                step *= 0.5
+            if not (step >= _MIN_STEP and sweeps < _MAX_SWEEPS):
+                return plan
+            sweeps, j, gained = sweeps + 1, 0, 0.0
+        k = j // 2
+        cand = list(params)
+        cand[k] = min(max(cand[k] + (-step if j % 2 else step), bounds[k][0]), bounds[k][1])
+        j += 1
+        plan.append((cand, step, sweeps, j))
+
+
+def _refine_rows(k):
+    """The most rows one refinement batch over ``k`` parameters can hold:
+    the start row, and from step ``_STEP`` mid-sweep after a gain the rest
+    of that sweep, a repeat at the same step and one sweep per halving down
+    to ``_MIN_STEP``, each of ``2 k`` candidates."""
+    steps, s = 0, _STEP
+    while s >= _MIN_STEP:
+        steps, s = steps + 1, 0.5 * s
+    return 2 * k * (steps + 1) + 1
+
+
 def _refine_params(viol, params, bounds, tol):
     """Deterministic local maximization of a violation over its parameters.
 
@@ -195,35 +236,18 @@ def _refine_params(viol, params, bounds, tol):
     tol/10 at the smallest step. Used only to sharpen failing witnesses.
 
     ``viol`` maps an ``(m, k)`` array of parameter rows to ``(m,)``
-    violations. Each call evaluates, from the current point, every candidate
-    the schedule would try if none of them improved: the rest of the current
-    sweep, then each later sweep of the halving ladder. Replaying the rules
+    violations, ``m`` at most :func:`_refine_rows` of ``k``. Each call
+    evaluates the :func:`_plan` of the current point. Replaying the rules
     over the batch in order finds the first improving candidate; the schedule
     moves there and the next batch starts from it. Every candidate before it
     was built from exactly that point and step, so the result is the one of
     trying one candidate at a time.
     """
     params = [float(v) for v in params]
-    n = 2 * len(params)
     best = None
-    # the schedule's position: step, sweep count, next candidate of the
-    # sweep (coordinate j // 2, sign + then -) and the sweep's gain so far
-    step, sweeps, j, gained = 1.0 / 16.0, 1, 0, 0.0
+    step, sweeps, j, gained = _STEP, 1, 0, 0.0
     while True:
-        plan = []
-        s, sw, jj, g = step, sweeps, j, gained
-        while True:
-            if jj == n:
-                if g < tol / 10.0:
-                    s *= 0.5
-                if not (s >= 1e-6 and sw < 200):
-                    break
-                sw, jj, g = sw + 1, 0, 0.0
-            k = jj // 2
-            cand = list(params)
-            cand[k] = min(max(cand[k] + (-s if jj % 2 else s), bounds[k][0]), bounds[k][1])
-            jj += 1
-            plan.append((cand, s, sw, jj))
+        plan = _plan(params, bounds, tol, step, sweeps, j, gained)
         batch = [cand for cand, *_ in plan]
         if best is None:
             batch.insert(0, params)
@@ -307,6 +331,21 @@ def _violation(make, b, points, params):
     return make(b, points)(*params.T)
 
 
+def _padded(f, R):
+    """The property ``f``, prepared on ``R`` point rows, as a violation of
+    ``(m, k)`` parameter rows for any ``m <= R``: the batch is padded to
+    ``R`` rows by repeating its last row and the values are cut back to
+    ``m``. The rows are independent, so the padding changes no value."""
+
+    def viol(prm):
+        m = len(prm)
+        if m > R:
+            raise RuntimeError(f"refinement batch of {m} rows exceeds the {R} prepared")
+        return f(*np.concatenate([prm, np.repeat(prm[-1:], R - m, axis=0)]).T)[:m]
+
+    return viol
+
+
 def _finish(prop, cfg, b, worst, samples, pts, names, params, param_names, make=None):
     """Assemble a report; on failure refine the witness parameters, shrink the
     witness points and re-evaluate the violation they attain.
@@ -324,8 +363,10 @@ def _finish(prop, cfg, b, worst, samples, pts, names, params, param_names, make=
     if make is not None and math.isfinite(worst):
         viol = functools.partial(_violation, make, b)
         if params:
+            # the witness points are fixed here, so they are prepared once
+            R = _refine_rows(len(params))
             bounds = [(0.0, 1.0)] * len(params)
-            refined, tuned = _refine_params(lambda prm: viol(_rows(pts, len(prm)), prm),
+            refined, tuned = _refine_params(_padded(make(b, _rows(pts, R)), R),
                                             params, bounds, cfg.tol)
             params = list(tuned)
             worst = max(worst, refined)
@@ -416,10 +457,10 @@ def check_convex(b, cfg):
                   cands)
 
 
-def _defects(b, P, Q, s1, s2, u):
-    # the selection between the points at s1 and s2 of the geodesic P -> Q,
-    # taken at u, against that geodesic at the matching parameter
-    path = b.path(P, Q)
+def _defects(b, path, s1, s2, u):
+    # the selection between the points at s1 and s2 of the prepared geodesic
+    # path, taken at u, against that geodesic at the matching parameter; the
+    # inner selection's endpoints move with the parameters, so it is eval
     sub = b.eval(path(s1), path(s2), u)
     return np.atleast_1d(np.asarray(b.dist(sub, path((1.0 - u) * s1 + u * s2)), dtype=float))
 
@@ -427,7 +468,8 @@ def _defects(b, P, Q, s1, s2, u):
 def _consistent(b, points):
     """The reparametrization defect, for parameters ``s1``, ``s2`` in either
     order."""
-    return lambda a1, a2, u: _defects(b, *points, np.minimum(a1, a2), np.maximum(a1, a2), u)
+    path = b.path(*points)
+    return lambda a1, a2, u: _defects(b, path, np.minimum(a1, a2), np.maximum(a1, a2), u)
 
 
 def check_consistent(b, cfg):
@@ -446,7 +488,7 @@ def consistency_defect(b, p, q, s1, s2, u):
     points, or packed ``(2, K)`` rows for a function-space bicombing.
     """
     P, Q = _rows([p, q], 1)
-    return float(_defects(b, P, Q, *np.array([[s1], [s2], [u]], dtype=float))[0])
+    return float(_defects(b, b.path(P, Q), *np.array([[s1], [s2], [u]], dtype=float))[0])
 
 
 def _reversible(b, points):

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,57 @@ def test_midpoint_iteration_leaves_the_callers_points_alone():
     # one point against a batch broadcasts, and stays unsqueezed
     one, _ = midpoint_iteration(sx, X0[0], Y0[:1], CFG)
     assert one.shape == (1, 2) and np.array_equal(one[0], mids[0])
+
+
+def test_midpoint_iteration_gaps_are_pinned():
+    # digest of the midpoints and the whole gap history, recorded before
+    # midpoint() stopped keeping the history; midpoint() gives the same bits
+    sx = sigma_X1_bicombing()
+    rng = np.random.default_rng(11)
+    X, Y = sx.sample(rng, 300), sx.sample(rng, 300)
+    mids, gaps = midpoint_iteration(sx, X, Y, CFG)
+    assert gaps.shape == (300, 65) and np.sum(~np.isnan(gaps)) == 715
+    assert hashlib.sha256(mids.tobytes() + gaps.tobytes()).hexdigest() == (
+        "369eb81008c8b38802f320b471e320392ad17f9630f02fa74b20f4dd6cfa2e45")
+    assert np.array_equal(midpoint(sx, X, Y, CFG), mids)
+
+
+# a base that prepares and one that has only eval
+@pytest.mark.parametrize("base", [sigma_tilde_bicombing(1.0 / 64.0), linear_bicombing("hybrid")],
+                         ids=["sigma_tilde", "linear"])
+def test_reversibilized_path_equals_eval(base):
+    rev = reversibilize(base, CFG)
+    rng = np.random.default_rng(8)
+    P, Q = base.sample(rng, 40), base.sample(rng, 40)
+    T = rng.random(40)
+    # (p, q, t, shape of the result): single points, a 1-row batch with a
+    # per-row t, and a batch with scalar and per-row t
+    cases = [(P[0], Q[0], 0.3, (2,)), (P[0], Q[0], 1.0, (2,)), (P[:1], Q[:1], T[:1], (1, 2)),
+             (P, Q, 0.0, (40, 2)), (P, Q, 0.625, (40, 2)), (P, Q, T, (40, 2))]
+    for p, q, t, shape in cases:
+        got = rev.path(p, q)(t)
+        assert got.shape == shape
+        assert np.array_equal(got, rev.eval(p, q, t))
+
+
+def test_reversibilized_scan_prepares_the_base_twice():
+    base = sigma_tilde_bicombing(1.0 / 64.0)
+    log = []
+
+    def prepare(p, q):
+        log.append((p, q))
+        return base.prepare(p, q)
+
+    rev = reversibilize(dataclasses.replace(base, prepare=prepare), CFG)
+    rng = np.random.default_rng(9)
+    P, Q = base.sample(rng, 50), base.sample(rng, 50)
+    path = rev.path(P, Q)
+    for t in np.linspace(0.0, 1.0, 33):
+        path(t)
+    # once per orientation, however many parameters; the halving steps use
+    # the base's eval, whose endpoints move
+    assert len(log) == 2
+    assert log[0][0] is P and log[1][0] is Q
 
 
 def test_reversibilize_linear_is_linear():

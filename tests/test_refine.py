@@ -6,8 +6,11 @@ sequential loop it replaced is kept here as the reference: both must return
 the same ``(best, params)`` bit for bit. The batches are only exact because
 every checker's violation is row-wise, so a batch must also equal the stack
 of its 1-row calls; a row outside the domain makes the whole batch raise.
+Row-wise is also what lets refinement prepare the witness once, on the
+largest batch the schedule can plan, and pad every batch to that size.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -50,6 +53,7 @@ def batched_refine(viol, params, bounds, tol):
     calls = []
 
     def batch(rows):
+        assert len(rows) <= verify._refine_rows(len(params))
         calls.append(len(rows))
         return np.array([viol([float(x) for x in row]) for row in rows])
 
@@ -214,3 +218,104 @@ def test_consistency_defect_is_the_one_row_batch():
     for i in range(5):
         a1, a2, u = prm[i]
         assert verify.consistency_defect(b, P[i], Q[i], min(a1, a2), max(a1, a2), u) == batch[i]
+
+
+# the largest batches: the first, the start row and a sweep at _STEP with its
+# 15 halvings (32 k + 1 rows), and the one after a gain on the first
+# candidate of a sweep at _STEP: the rest of that sweep, a repeat at _STEP
+# and the 15 halvings (34 k - 1 rows)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_no_planned_batch_exceeds_the_prepared_rows(k):
+    R = verify._refine_rows(k)
+    assert R == 34 * k + 1
+    params, bounds, tol = [0.5] * k, [(0.0, 1.0)] * k, 1e-9
+    start = verify._plan(params, bounds, tol, verify._STEP, 1, 0, 0.0)
+    assert 1 + len(start) == 32 * k + 1
+    sizes = [len(verify._plan(params, bounds, tol, verify._STEP, 1, j, gained))
+             for j in range(1, 2 * k + 1) for gained in (0.0, tol / 10.0, 1.0)]
+    assert max(sizes) == 34 * k - 1 <= R
+    # the padded violation refuses a batch the schedule cannot plan
+    viol = verify._padded(lambda t: t, R)
+    assert np.array_equal(viol(np.full((R, 1), 0.25)), np.full(R, 0.25))
+    with pytest.raises(RuntimeError, match=f"refinement batch of {R + 1} rows"):
+        viol(np.zeros((R + 1, 1)))
+
+
+def _counting(b, log):
+    """``b`` whose ``prepare`` logs the rows of each endpoint batch."""
+    def prepare(p, q):
+        log.append(len(np.atleast_2d(p)))
+        return b.prepare(p, q)
+
+    return dataclasses.replace(b, prepare=prepare)
+
+
+# failing checks: (row, check, property, parameter names, paths it prepares)
+FAILING = {
+    "reversible": ("sigma_X1", verify.check_reversible, verify._reversible, ("t",), 2),
+    "consistent": ("sigma_delta", verify.check_consistent, verify._consistent,
+                   ("s1", "s2", "u"), 1),
+}
+FAILING_CFG = verify.SampleConfig(seed=3, tuples=200, t_grid=9)
+
+
+@pytest.mark.parametrize("prop", FAILING)
+def test_refinement_prepares_the_witness_once(monkeypatch, prop):
+    row, check, _, names, paths = FAILING[prop]
+    log, batches, inside = [], [], []
+    real = verify._refine_params
+
+    def refine(viol, params, bounds, tol):
+        def counted(prm):
+            batches.append(len(prm))
+            return viol(prm)
+
+        before = len(log)
+        out = real(counted, params, bounds, tol)
+        inside.append(len(log) - before)
+        return out
+
+    monkeypatch.setattr(verify, "_refine_params", refine)
+    rep = check(_counting(BUILT[row], log), FAILING_CFG)
+    assert not rep.passed
+    R = verify._refine_rows(len(names))
+    assert len(batches) >= 2 and max(batches) <= R
+    # prepared once, before the first batch, and never inside refinement
+    assert inside == [0] and log.count(R) == paths
+
+
+@pytest.mark.parametrize("prop", FAILING)
+def test_padded_refinement_matches_the_sequential_schedule(prop):
+    row, check, make, names, _ = FAILING[prop]
+    b = BUILT[row]
+    rep = check(b, FAILING_CFG)
+    pts = [np.array(rep.witness[n]) for n in ("p", "q")]
+    # start a little away from the refined parameters, so the schedule moves
+    start = [round(rep.witness[n], 1) for n in names]
+    bounds = [(0.0, 1.0)] * len(start)
+    R = verify._refine_rows(len(start))
+    one = functools.partial(verify._violation, make, b)
+    best, params, _ = sequential_refine(
+        lambda prm: float(one(verify._rows(pts, 1), np.array([prm]))[0]), start, bounds, 1e-9)
+    got = verify._refine_params(verify._padded(make(b, verify._rows(pts, R)), R),
+                                start, bounds, 1e-9)
+    assert params != tuple(start) and got == (best, params)
+
+
+# exact defects recorded while the consistent property still prepared its
+# path at every evaluation; the last two tuples are the witnesses of
+# check_consistent at seed 5, 300 tuples, t_grid 9
+@pytest.mark.parametrize("row, args, want", [
+    ("sigma_delta", ((-3.0, 0.0), (3.0, 0.0), 1 / 6, 5 / 6, 0.5), 0.02209708691207961),
+    ("sigma_delta", ((3.0, 0.0), (-3.0, 0.0), 0.25, 0.5, 0.5), 0.0041432037960149265),
+    ("sigma_tilde", ((-2.5, 0.0), (2.75, 0.0), 0.125, 0.875, 0.625), 0.008549909688919964),
+    ("sigma_tilde", ((3.0, 0.0), (-3.0, 0.0), 0.25, 0.5, 0.5), 0.0),
+    ("sigma_delta", ((2.8415041907779397, 0.0), (-2.8270544630879986, 0.0),
+                     0.2886698467384696, 0.9636558817412272, 0.3149768901060528),
+     0.018435142796136325),
+    ("sigma_tilde", ((-2.1646926949170116, 0.0), (2.8334076623915125, 0.0),
+                     0.04467582702636719, 0.6691618172286741, 0.6219954694609925),
+     0.011027555171201452),
+])
+def test_consistency_defect_values_are_pinned(row, args, want):
+    assert verify.consistency_defect(BUILT[row], *args) == want

@@ -1,14 +1,15 @@
 """One digest over every built-in report, for byte-identity checks.
 
 Runs each CLI suite at its defaults into ``d/`` and ``run --suite all
---delta 0`` into ``z/`` of a temporary directory, then prints the number of
-report files and a sha256 over them. The digest equals the shell pipeline
+--delta 0`` into ``z/`` of a temporary directory, and exports each figure of
+``cli.FIGURE_NAMES`` at the default delta into ``f/<name>.csv``. Then prints
+the number of files and a sha256 over them. The digest equals the shell pipeline
 
     for f in $(find . -type f | sort); do echo "$f"; grep -v elapsed_seconds "$f"; done | sha256sum
 
 run in that directory: each file contributes its path and its lines without
 the summaries' ``elapsed_seconds``, the one field that varies between runs.
-Two checkouts that print the same line write the same reports.
+Two checkouts that print the same line write the same reports and figures.
 
     python tools/report_digest.py
 """
@@ -39,14 +40,20 @@ def digest(root):
 
 
 def main():
-    runs = [(suite, "d", []) for suite in cli.SUITES] + [("all", "z", ["--delta", "0"])]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for suite, sub, extra in runs:
+        runs = [(f"suite {suite} (d)", ["run", "--suite", suite, "--out", str(root / "d")])
+                for suite in cli.SUITES]
+        runs.append(("suite all (z)", ["run", "--suite", "all", "--out", str(root / "z"),
+                                       "--delta", "0"]))
+        runs += [(f"figure {name}", ["figure", "--name", name, "--out",
+                                     str(root / "f" / f"{name}.csv")])
+                 for name in cli.FIGURE_NAMES]
+        for label, argv in runs:
             with contextlib.redirect_stdout(io.StringIO()):
-                status = cli.main(["run", "--suite", suite, "--out", str(root / sub), *extra])
+                status = cli.main(argv)
             if status:
-                print(f"suite {suite} ({sub}) exited {status}", file=sys.stderr)
+                print(f"{label} exited {status}", file=sys.stderr)
         count, sha = digest(root)
     print(f"{count} files sha256={sha}")
 
