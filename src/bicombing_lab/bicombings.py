@@ -15,7 +15,6 @@ geodesic between them. Besides the plain affine selection this module builds:
 * ``tau_X1``: reroute every ``sigma_X1`` geodesic through the average of the
   two half-way points, which restores the midpoint property (but still not
   reversibility).
-* ``pushforward``: conjugate any bicombing by a translation.
 
 Evaluators are closed-form, pure and batch-aware: points may be ``(2,)`` or
 ``(n, 2)`` arrays and the parameter a scalar or a length-``n`` array. Each
@@ -43,8 +42,6 @@ DELTA_MAX = 1.0 / 64.0
 _X = spaces.Region("X")
 _X1 = spaces.Region("X1")
 _X2 = spaces.Region("X2")
-_Y1 = spaces.Region("Y1")
-_Y2 = spaces.Region("Y2")
 
 
 @dataclass(frozen=True)
@@ -105,12 +102,6 @@ def _param(t, n):
 
 def _take(T, rows):
     return T if T.ndim == 0 else T[rows]
-
-
-def _points(p):
-    P = np.asarray(p, dtype=float)
-    squeeze = P.ndim == 1
-    return np.atleast_2d(P).astype(float, copy=True), squeeze
 
 
 def _require_in(region, P, label, tol=spaces.DEFAULT_TOL):
@@ -209,13 +200,6 @@ def sigma_tilde_delta(delta, p, q, t):
     return _SigmaDeltaPath(delta, p, q, tilde=True).at(t)
 
 
-def fold_s(p):
-    """Reflection across the x-axis."""
-    P, squeeze = _points(p)
-    P[:, 1] = -P[:, 1]
-    return P[0] if squeeze else P
-
-
 def _fold(P):
     # reflect the slanted antenna (x <= -1) across the x-axis; an involution
     # exchanging the folded strip with its mirror image, identity at x = -1
@@ -233,7 +217,9 @@ def fold_f(p, direction):
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    P, squeeze = _points(p)
+    P = np.asarray(p, dtype=float)
+    squeeze = P.ndim == 1
+    P = np.atleast_2d(P)
     src = _X2 if direction == "forward" else _X1
     _require_in(src, P, f"{direction} endpoint")
     out = _fold(P)
@@ -241,24 +227,13 @@ def fold_f(p, direction):
 
 
 def _pi(P):
+    """The paper's vertical retraction pi of ``Y1 u Y2`` onto ``X1 u X2``:
+    ``|y|`` clamped to ``||x| - 1|``, keeping the sign of ``y``. It fixes
+    ``X1 u X2`` pointwise, is idempotent and 1-Lipschitz in the max norm.
+    ``Y1 = X1 u {|x + 1| <= y <= 1}`` and ``Y2`` is its mirror image."""
     x, y = P[:, 0], P[:, 1]
     cap = np.abs(np.abs(x) - 1.0)
     return np.stack([x, np.sign(y) * np.minimum(np.abs(y), cap)], axis=-1)
-
-
-def retraction_pi(p):
-    """Vertical 1-Lipschitz retraction of ``Y1 u Y2`` onto ``X1 u X2``.
-
-    Clamps ``|y|`` to ``||x| - 1|`` while keeping the sign of ``y``; fixes
-    ``X1 u X2`` pointwise and is idempotent.
-    """
-    P, squeeze = _points(p)
-    ok = np.atleast_1d(spaces.contains(_Y1, P) | spaces.contains(_Y2, P))
-    if not ok.all():
-        bad = P[~ok][0]
-        raise ValueError(f"point {tuple(bad)} lies outside Y1 u Y2")
-    out = _pi(P)
-    return out[0] if squeeze else out
 
 
 class _X1Path:
@@ -334,19 +309,6 @@ def tau_X1(p, q, t):
     the midpoint property by construction, yet is still not reversible.
     """
     return _TauX1Path(p, q).at(t)
-
-
-def pushforward(shift, base, p, q, t):
-    """Evaluate ``base`` conjugated by the translation about ``shift``."""
-    shift = np.asarray(shift, dtype=float)
-    P, Q, single = _pq(p, q)
-    T = np.broadcast_to(np.asarray(t, dtype=float), (len(P),))
-    P0 = P - shift
-    Q0 = Q - shift
-    _require_in(base.domain, P0, "translated p endpoint")
-    _require_in(base.domain, Q0, "translated q endpoint")
-    out = base.eval(P0, Q0, T) + shift
-    return out[0] if single and np.ndim(t) == 0 else out
 
 
 def linear_bicombing(space="euclid", domain=None, name="linear"):

@@ -27,7 +27,6 @@ the kernel on one row and unpack the result.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -136,19 +135,6 @@ def random_monotone_fn(rng):
     """Random strictly increasing piecewise-linear function on [0,1] (one
     draw of :func:`random_monotone_batch`)."""
     return unpack(random_monotone_batch(rng, 1)[0])
-
-
-def to_text(f):
-    """Two-column text serialization: one "x v" line per breakpoint."""
-    buf = io.StringIO()
-    for x, v in zip(f.xs, f.vs):
-        buf.write(f"{float(x)!r} {float(v)!r}\n")
-    return buf.getvalue()
-
-
-def from_text(text):
-    rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-    return from_breakpoints([[float(a), float(b)] for a, b in rows])
 
 
 def pack(fns):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bicombings import Bicombing, _pq
+from .spaces import _require_tol
 
 #: The halving budget: 64 halvings underflow any diameter occurring here, so
 #: a gap still above tol after them did not contract.
@@ -40,8 +41,7 @@ class MidpointConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        _require_tol(self.tol)
 
 
 def _halvings(base, X, Y, tol):

@@ -5,7 +5,7 @@ hybrid norm ``max(|x|, sqrt((x^2 + y^2)/2))``. The regions are the handful of
 planar sets on which the nonstandard geodesic selections of this package
 live: a thin parabolic blob flanked by two antenna segments (``X`` and its
 pieces), a diamond with a slanted antenna and its mirror image (``X1``,
-``X2`` and the enlarged sets ``Y1``, ``Y2``), and norm balls.
+``X2``), and norm balls.
 
 ``face`` maps a direction to the minimal face of the unit sphere containing
 it, which is what decides the shape of metric in-between sets.
@@ -17,13 +17,14 @@ which takes one direction, they accept either a single point of shape
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 SPACES = ("euclid", "linf", "hybrid")
 
-REGION_TAGS = ("X", "Xminus", "Xzero", "Xplus", "X1", "X2", "Y1", "Y2", "ball")
+REGION_TAGS = ("X", "Xminus", "Xzero", "Xplus", "X1", "X2", "ball")
 
 #: Default slack for membership tests on computed geodesic points. The
 #: constructions place geodesics exactly on region boundaries, so raw
@@ -130,10 +131,18 @@ class Region:
         return cls("ball", tuple(center), radius, norm)
 
 
+def _require_tol(tol):
+    # the tol of a check or a stopping rule; an infinite one accepts
+    # everything, and a NaN one makes every comparison false
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def contains(region, p, tol=DEFAULT_TOL):
     """Membership test with every defining inequality relaxed by ``tol``."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    # a NaN tol rejects every point and an infinite one accepts every point
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     x, y = _xy(p)
     tag = region.tag
     if tag == "X":
@@ -153,36 +162,24 @@ def contains(region, p, tol=DEFAULT_TOL):
                 & (y >= ax - 1.0 - tol) & (y <= np.abs(ax - 1.0) + tol))
     if tag == "X2":
         return contains(Region("X1"), np.stack([x, -y], axis=-1), tol)
-    if tag == "Y1":
-        in_triangle = (y >= np.abs(x + 1.0) - tol) & (y <= 1.0 + tol)
-        return contains(Region("X1"), np.stack([x, y], axis=-1), tol) | in_triangle
-    if tag == "Y2":
-        return contains(Region("Y1"), np.stack([x, -y], axis=-1), tol)
     if tag == "ball":
         c = np.asarray(region.center, dtype=float)
         return dist(region.norm, np.stack([x, y], axis=-1), c) <= region.radius + tol
     raise ValueError(f"unknown region tag {tag!r}")
 
 
-def sample_region(region, seed, count):
-    """Deterministic sample of ``count`` points of the region.
+def sample_region_rng(region, rng, count):
+    """Sample of ``count`` points of the region, drawn from ``rng``.
 
-    Identical ``(seed, count)`` always yields the identical array. Every
-    returned point satisfies ``contains(region, p, 0)``.
+    The same generator state always yields the identical array. Every
+    returned point satisfies ``contains(region, p, 0)``. Regions made of
+    several pieces (two-dimensional parts plus boundary segments) pick each
+    point's piece uniformly at random, so the lower-dimensional pieces are
+    exercised as well; plain rejection sampling would hit them with
+    probability zero.
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    return sample_region_rng(region, np.random.default_rng(seed), count)
-
-
-def sample_region_rng(region, rng, count):
-    """Like :func:`sample_region` but drawing from a caller-owned generator.
-
-    Regions made of several pieces (two-dimensional parts plus boundary
-    segments) pick each point's piece uniformly at random, so the
-    lower-dimensional pieces are exercised as well; plain rejection sampling
-    would hit them with probability zero.
-    """
     pieces = _piece_samplers(region)
     if len(pieces) == 1:
         choice = np.zeros(count, dtype=np.intp)
@@ -272,12 +269,6 @@ def _piece_samplers(region):
         return [_area_sampler(region, (-1.0, 1.0, -1.0, 1.0)), _antenna_sampler(+1.0)]
     if tag == "X2":
         return [_area_sampler(region, (-1.0, 1.0, -1.0, 1.0)), _antenna_sampler(-1.0)]
-    if tag == "Y1":
-        return [_area_sampler(region, (-1.0, 1.0, -1.0, 1.0)),
-                _area_sampler(region, (-2.0, 0.0, 0.0, 1.0))]
-    if tag == "Y2":
-        return [_area_sampler(region, (-1.0, 1.0, -1.0, 1.0)),
-                _area_sampler(region, (-2.0, 0.0, -1.0, 0.0))]
     if tag == "ball":
         if region.radius == 0.0:
             return [_point_sampler(region.center)]

@@ -67,7 +67,7 @@ class SampleConfig:
         _require_count("seed", self.seed, 0)
         _require_count("tuples", self.tuples, 1)
         _require_count("t_grid", self.t_grid, 3)
-        _require_tol(self.tol)
+        spaces._require_tol(self.tol)
 
 
 def _require_count(name, value, least):
@@ -76,12 +76,6 @@ def _require_count(name, value, least):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
-
-
-def _require_tol(tol):
-    # an infinite tol would pass every check and put Infinity in the reports
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -534,16 +528,16 @@ def check_local_linearity(b, center, r, cfg):
     r = float(r)
     if r < 0:
         raise ValueError("radius must be >= 0")
-    if r > 0:
-        angles = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-        U = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        boundary = center + 2.0 * r * U / np.asarray(spaces.norm(b.space, U))[:, None]
-        ok = np.atleast_1d(spaces.contains(b.domain, boundary, spaces.DEFAULT_TOL))
-        if not ok.all():
-            bad = boundary[~ok][0]
-            raise ValueError(
-                f"ball of radius {2 * r:g} around {tuple(center)} leaves "
-                f"{b.domain.tag} near {tuple(bad)}")
+    # at r = 0 the boundary points collapse onto the centre, which is tested
+    angles = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    U = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    boundary = center + 2.0 * r * U / np.asarray(spaces.norm(b.space, U))[:, None]
+    ok = np.atleast_1d(spaces.contains(b.domain, boundary, spaces.DEFAULT_TOL))
+    if not ok.all():
+        bad = boundary[~ok][0]
+        raise ValueError(
+            f"ball of radius {2 * r:g} around {tuple(center)} leaves "
+            f"{b.domain.tag} near {tuple(bad)}")
     ballreg = spaces.Region.ball((float(center[0]), float(center[1])), r, b.space)
     _, points = _draw(functools.partial(spaces.sample_region_rng, ballreg), cfg, 2)
     report = _check("linear", b, cfg, _linear, points, ("p", "q"), ("t",),
@@ -585,7 +579,8 @@ def mt_set(space, p, q, t, resolution=501, tol=1e-6):
     computed with :func:`spaces.dist`, exceeds ``tol`` plus 8 ulps of the
     largest coordinate of ``p`` and ``q`` (the rounding of the points and
     distances themselves, up to 4 ulps). ``ValueError`` unless ``p``, ``q``
-    are finite ``(2,)`` points and ``0 <= t <= 1``.
+    are finite ``(2,)`` points, ``0 <= t <= 1`` and ``tol`` is positive and
+    finite.
     """
     p = _mt_point(p, "p")
     q = _mt_point(q, "q")
@@ -594,8 +589,7 @@ def mt_set(space, p, q, t, resolution=501, tol=1e-6):
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    spaces._require_tol(tol)
     d = float(spaces.dist(space, p, q))
     if d == 0.0:
         return [MtCluster(points=p[None, :].copy(), representative=p.copy(), residual=0.0)]

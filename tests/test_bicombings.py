@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicombing_lab import spaces
-from bicombing_lab.bicombings import (fold_f, fold_s, linear,
-                                      linear_bicombing, pushforward, retraction_pi,
+from bicombing_lab.bicombings import (_fold, _pi, fold_f, linear,
                                       sigma_delta, sigma_delta_bicombing,
                                       sigma_tilde_bicombing, sigma_tilde_delta,
                                       sigma_X1, sigma_X1_bicombing, tau_X1,
                                       tau_X1_bicombing)
-from bicombing_lab.spaces import Region, contains, dist, sample_region
+from bicombing_lab.spaces import Region, contains, dist, sample_region_rng
 
 DELTA = 1.0 / 64.0
 
@@ -58,8 +57,8 @@ def test_sigma_delta_rejects_bad_inputs():
 
 def test_sigma_delta_reversible_bit_for_bit():
     rng = np.random.default_rng(2)
-    P = sample_region(Region("X"), 21, 400)
-    Q = sample_region(Region("X"), 22, 400)
+    P = sample_region_rng(Region("X"), np.random.default_rng(21), 400)
+    Q = sample_region_rng(Region("X"), np.random.default_rng(22), 400)
     for t in np.linspace(0.0, 1.0, 33):  # dyadic grid
         a = sigma_delta(DELTA, P, Q, float(t))
         b = sigma_delta(DELTA, Q, P, float(1.0 - t))
@@ -67,8 +66,8 @@ def test_sigma_delta_reversible_bit_for_bit():
 
 
 def test_sigma_delta_stays_in_X():
-    P = sample_region(Region("X"), 31, 300)
-    Q = sample_region(Region("X"), 32, 300)
+    P = sample_region_rng(Region("X"), np.random.default_rng(31), 300)
+    Q = sample_region_rng(Region("X"), np.random.default_rng(32), 300)
     for t in np.linspace(0, 1, 17):
         pts = sigma_delta(DELTA, P, Q, float(t))
         assert np.all(contains(Region("X"), pts, spaces.DEFAULT_TOL))
@@ -77,11 +76,11 @@ def test_sigma_delta_stays_in_X():
 def test_sigma_delta_chord_slope_bound():
     # chords climbing out of an antenna tip have slope at most 1/16
     rng = np.random.default_rng(8)
-    P = sample_region(Region("Xminus"), 41, 500)
-    Q = sample_region(Region("Xzero"), 42, 500)
+    P = sample_region_rng(Region("Xminus"), np.random.default_rng(41), 500)
+    Q = sample_region_rng(Region("Xzero"), np.random.default_rng(42), 500)
     slope = Q[:, 1] / (Q[:, 0] + 1.0)
     assert np.all(slope <= 1.0 / 16.0 + 1e-12)
-    R = sample_region(Region("Xplus"), 43, 500)
+    R = sample_region_rng(Region("Xplus"), np.random.default_rng(43), 500)
     slope = Q[:, 1] / (Q[:, 0] - 1.0)
     assert np.all(np.abs(slope) <= 1.0 / 16.0 + 1e-12)
 
@@ -99,8 +98,8 @@ def test_sigma_tilde_examples_and_reversal_witness():
 
 
 def test_sigma_tilde_zero_delta_is_reversible():
-    P = sample_region(Region("X"), 51, 300)
-    Q = sample_region(Region("X"), 52, 300)
+    P = sample_region_rng(Region("X"), np.random.default_rng(51), 300)
+    Q = sample_region_rng(Region("X"), np.random.default_rng(52), 300)
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         a = sigma_tilde_delta(0.0, P, Q, t)
         b = sigma_tilde_delta(0.0, Q, P, 1.0 - t)
@@ -130,12 +129,6 @@ def test_constant_speed_all_bicombings():
                 assert np.max(np.abs(got - (grid[j] - grid[i]) * d)) <= 1e-9, b.name
 
 
-def test_fold_s():
-    assert np.array_equal(fold_s((1.0, 2.0)), [1.0, -2.0])
-    assert np.array_equal(fold_s((0.0, 0.0)), [0.0, 0.0])
-    assert np.array_equal(fold_s((-2.0, -1.0)), [-2.0, 1.0])
-
-
 def test_fold_f_examples():
     assert np.array_equal(fold_f((0.0, -1.0), "forward"), [0.0, -1.0])
     assert np.array_equal(fold_f((-2.0, -1.0), "forward"), [-2.0, 1.0])
@@ -147,43 +140,48 @@ def test_fold_f_examples():
 
 
 def test_fold_f_preserves_linf_distance_on_X2():
-    P = sample_region(Region("X2"), 61, 500)
-    Q = sample_region(Region("X2"), 62, 500)
+    P = sample_region_rng(Region("X2"), np.random.default_rng(61), 500)
+    Q = sample_region_rng(Region("X2"), np.random.default_rng(62), 500)
     before = dist("linf", P, Q)
     after = dist("linf", fold_f(P, "forward"), fold_f(Q, "forward"))
     assert np.max(np.abs(before - after)) <= 1e-12
 
 
 def test_fold_f_round_trip():
-    P = sample_region(Region("X1"), 63, 300)
+    P = sample_region_rng(Region("X1"), np.random.default_rng(63), 300)
     back = fold_f(fold_f(P, "inverse"), "forward")
     assert np.array_equal(P, back)
 
 
-def test_retraction_pi_examples():
-    assert np.array_equal(retraction_pi((-1.0, 1.0)), [-1.0, 0.0])
-    assert np.array_equal(retraction_pi((-1.5, 1.0)), [-1.5, 0.5])
-    assert np.array_equal(retraction_pi((-0.5, -0.25)), [-0.5, -0.25])
-    with pytest.raises(ValueError):
-        retraction_pi((0.9, 0.9))
+def _pi_inputs(seed, n):
+    """The points ``_X1Path`` retracts: affine points between two ``X1``
+    points, then between the same two points folded."""
+    rng = np.random.default_rng(seed)
+    P = sample_region_rng(Region("X1"), rng, n)
+    Q = sample_region_rng(Region("X1"), rng, n)
+    t = rng.random(n)
+    return np.concatenate([linear(P, Q, t), linear(_fold(P), _fold(Q), t)])
 
 
-def test_retraction_pi_idempotent_and_fixes_strips():
-    Y = np.concatenate([sample_region(Region("Y1"), 71, 400),
-                        sample_region(Region("Y2"), 72, 400)])
-    once = retraction_pi(Y)
-    assert np.array_equal(retraction_pi(once), once)
-    X12 = np.concatenate([sample_region(Region("X1"), 73, 200),
-                          sample_region(Region("X2"), 74, 200)])
-    assert np.max(np.abs(retraction_pi(X12) - X12)) <= 1e-15
+def test_pi_examples():
+    rows = np.array([[-1.0, 1.0], [-1.5, 1.0], [-0.5, -0.25], [-1.5, -0.75]])
+    want = [[-1.0, 0.0], [-1.5, 0.5], [-0.5, -0.25], [-1.5, -0.5]]
+    assert np.array_equal(_pi(rows), want)
 
 
-def test_retraction_pi_is_1_lipschitz():
-    P = np.concatenate([sample_region(Region("Y1"), 81, 5000),
-                        sample_region(Region("Y2"), 82, 5000)])
-    Q = np.concatenate([sample_region(Region("Y2"), 83, 5000),
-                        sample_region(Region("Y1"), 84, 5000)])
-    lhs = dist("linf", retraction_pi(P), retraction_pi(Q))
+def test_pi_idempotent_and_fixes_strips():
+    once = _pi(_pi_inputs(71, 400))
+    assert np.array_equal(_pi(once), once)
+    X12 = np.concatenate([sample_region_rng(Region("X1"), np.random.default_rng(73), 200),
+                          sample_region_rng(Region("X2"), np.random.default_rng(74), 200)])
+    assert np.max(np.abs(_pi(X12) - X12)) <= 1e-15
+
+
+def test_pi_is_1_lipschitz():
+    # reversing one batch pairs unfolded points with folded ones
+    P = _pi_inputs(81, 5000)
+    Q = _pi_inputs(83, 5000)[::-1]
+    lhs = dist("linf", _pi(P), _pi(Q))
     rhs = dist("linf", P, Q)
     assert np.all(lhs <= rhs + 1e-12)
 
@@ -200,8 +198,8 @@ def test_sigma_X1_examples():
 
 
 def test_sigma_X1_stays_in_X1():
-    P = sample_region(Region("X1"), 91, 400)
-    Q = sample_region(Region("X1"), 92, 400)
+    P = sample_region_rng(Region("X1"), np.random.default_rng(91), 400)
+    Q = sample_region_rng(Region("X1"), np.random.default_rng(92), 400)
     for t in np.linspace(0, 1, 9):
         pts = sigma_X1(P, Q, float(t))
         assert np.all(contains(Region("X1"), pts, spaces.DEFAULT_TOL))
@@ -215,8 +213,6 @@ def test_sigma_X1_rejects_outside_domain():
 def test_sigma_X1_branches_agree_on_vertical_ties():
     # ties p_x == q_x take the first branch; both branches give the same
     # path there, so the choice is invisible
-    from bicombing_lab.bicombings import _fold, _pi, linear as lin
-
     rng = np.random.default_rng(17)
     x = rng.uniform(-1.0, 1.0, 200)
     span = 1.0 - np.abs(x)
@@ -225,8 +221,8 @@ def test_sigma_X1_branches_agree_on_vertical_ties():
     P = np.stack([x, y1], axis=-1)
     Q = np.stack([x, y2], axis=-1)
     for t in (0.2, 0.5, 0.9):
-        first = _pi(lin(P, Q, t))
-        second = _fold(_pi(lin(_fold(P), _fold(Q), t)))
+        first = _pi(linear(P, Q, t))
+        second = _fold(_pi(linear(_fold(P), _fold(Q), t)))
         assert np.array_equal(first, second)
         assert np.array_equal(sigma_X1(P, Q, t), first)
 
@@ -244,21 +240,8 @@ def test_tau_X1_trivial_and_midpoint_agreement():
     p = np.array([0.2, -0.3])
     for t in (0.0, 0.4, 1.0):
         assert np.array_equal(tau_X1(p, p, t), p)
-    P = sample_region(Region("X1"), 101, 300)
-    Q = sample_region(Region("X1"), 102, 300)
+    P = sample_region_rng(Region("X1"), np.random.default_rng(101), 300)
+    Q = sample_region_rng(Region("X1"), np.random.default_rng(102), 300)
     a = tau_X1(P, Q, 0.5)
     b = tau_X1(Q, P, 0.5)
     assert np.array_equal(a, b)  # exact by construction
-
-
-def test_pushforward_examples():
-    base = linear_bicombing("euclid")
-    out = pushforward((0.0, 0.0), base, (0.5, 0.5), (1.5, -0.5), 0.25)
-    assert np.array_equal(out, linear((0.5, 0.5), (1.5, -0.5), 0.25))
-    out = pushforward((1.0, 0.0), base, (1.0, 0.0), (3.0, 0.0), 0.5)
-    assert np.array_equal(out, [2.0, 0.0])
-    bulge = sigma_delta_bicombing(DELTA)
-    out = pushforward((5.0, 0.0), bulge, (2.0, 0.0), (8.0, 0.0), 0.5)
-    assert np.allclose(out, [5.0, 1 / 32], atol=1e-15)
-    with pytest.raises(ValueError):
-        pushforward((5.0, 0.0), bulge, (20.0, 0.0), (8.0, 0.0), 0.5)

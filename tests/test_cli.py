@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -266,3 +268,15 @@ def test_figure_convexity_pair_has_distance_series(tmp_path):
 def test_unknown_figure_rejected(tmp_path):
     with pytest.raises(ValueError):
         export_figure("sideways", 0.0, tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("failing, status", [(None, 0), ("run", 1), ("figure", 1)])
+def test_report_digest_exits_1_when_a_run_fails(monkeypatch, capsys, failing, status):
+    path = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
+    spec = importlib.util.spec_from_file_location("report_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool.cli, "main", lambda argv: int(argv[0] == failing))
+    assert tool.main() == status
+    assert capsys.readouterr().out.startswith("0 files sha256=")

@@ -189,17 +189,6 @@ def test_property_checks_for_both_interpolations():
         assert check_consistent(b, cfg).passed, b.name
 
 
-def test_serialization_round_trip():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        f = fs.random_monotone_fn(rng)
-        g = fs.from_text(fs.to_text(f))
-        assert np.array_equal(f.xs, g.xs) and np.array_equal(f.vs, g.vs)
-    text = fs.to_text(fs.identity_fn())
-    assert text.splitlines()[0] == "0.0 0.0"
-    assert text.splitlines()[-1] == "1.0 1.0"
-
-
 def _coarse_fn(rng):
     # breakpoints on the 1/8 grid, so that pairs share many of them
     grid = np.arange(1, 8) / 8.0

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ CFG = MidpointConfig(tol=1e-10)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MidpointConfig(tol=0.0)
+    # at tol=inf no halving ran, and midpoint returned the endpoint (0.5, 0)
+    # of the pair (0.5, 0), (-0.5, 0) as its metric midpoint
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            MidpointConfig(tol=tol)
 
 
 def test_midpoint_linear_one_step():

@@ -254,6 +254,13 @@ def test_mt_set_rejects_bad_input(p, q, t):
         mt_set("linf", p, q, t)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+def test_mt_set_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    # an infinite tol makes the residual postcondition check nothing
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        mt_set("linf", (1.0, 0.0), (-1.0, 0.0), 0.5, tol=tol)
+
+
 def _segment_distance(Z, a, b):
     ab = b - a
     length2 = float(ab @ ab)
@@ -376,6 +383,15 @@ def test_local_linearity_precondition_is_checked():
     cfg = SampleConfig(seed=42, tuples=100)
     with pytest.raises(ValueError):
         check_local_linearity(sigma_delta_bicombing(DELTA), (0.0, 1 / 64), 0.2, cfg)
+
+
+def test_local_linearity_checks_the_centre_at_radius_zero():
+    # the zero ball around a centre outside the domain used to pass
+    b = linear_bicombing("hybrid", Region("X"))
+    cfg = SampleConfig(tuples=50)
+    with pytest.raises(ValueError, match="leaves X"):
+        check_local_linearity(b, (10.0, 10.0), 0.0, cfg)
+    assert check_local_linearity(b, (0.0, 0.0), 0.0, cfg).passed
 
 
 def test_delta_thresholds():

@@ -10,6 +10,7 @@ the number of files and a sha256 over them. The digest equals the shell pipeline
 run in that directory: each file contributes its path and its lines without
 the summaries' ``elapsed_seconds``, the one field that varies between runs.
 Two checkouts that print the same line write the same reports and figures.
+Exits 1 after the digest if any suite or figure exited non-zero.
 
     python tools/report_digest.py
 """
@@ -40,6 +41,7 @@ def digest(root):
 
 
 def main():
+    failed = False
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         runs = [(f"suite {suite} (d)", ["run", "--suite", suite, "--out", str(root / "d")])
@@ -53,10 +55,12 @@ def main():
             with contextlib.redirect_stdout(io.StringIO()):
                 status = cli.main(argv)
             if status:
+                failed = True
                 print(f"{label} exited {status}", file=sys.stderr)
         count, sha = digest(root)
     print(f"{count} files sha256={sha}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
